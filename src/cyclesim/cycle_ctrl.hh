@@ -63,6 +63,15 @@ struct CycleTransaction : public Pooled<CycleTransaction>
      */
     Tick pickTime = 0;
     Tick issueTime = 0;
+    /**
+     * Decoded coordinates of the next burst to queue (burst
+     * burstsQueued), its flat bank index, and the transaction's place
+     * in arrival order. Derived state: set on arrival, advanced as
+     * bursts are queued, rebuilt on restore.
+     */
+    DRAMAddr next;
+    unsigned nextBank = 0;
+    std::uint64_t seq = 0;
 };
 
 class CycleDRAMCtrl : public MemCtrlBase
@@ -104,6 +113,20 @@ class CycleDRAMCtrl : public MemCtrlBase
 
     /** DRAM clock cycles actually simulated (the model's work unit). */
     std::uint64_t cyclesTicked() const { return cyclesTicked_; }
+
+    /** Queued transactions with some but not all bursts decomposed. */
+    std::size_t partDecomposed() const;
+
+    /**
+     * Transactions wait but none fits its command queue, and no input
+     * of the decompose scan changed since a scan found so: scans are
+     * skipped until one does.
+     */
+    bool
+    decomposeBlocked() const
+    {
+        return !transQueue_.empty() && !decomposeStale_;
+    }
 
     /** Statistics mirror of the subset shared with the event model. */
     struct CtrlStats
@@ -176,13 +199,36 @@ class CycleDRAMCtrl : public MemCtrlBase
     /** Move (at most one) transaction into the command queues. */
     void decomposeTransactions();
 
-    /** Heal command-queue heads invalidated by a refresh. */
+    /**
+     * Decode burst burstsQueued of @p trans and add it to the waiters
+     * of that burst's bank.
+     */
+    void waitForNextBurst(CycleTransaction *trans);
+
+    /** Commands needed to queue @p trans's next burst. */
+    unsigned commandsNeeded(const CycleTransaction &trans) const;
+
+    /** A waiter of flat bank @p idx may now fit: rescan the bank. */
+    void
+    markBankStale(std::size_t idx)
+    {
+        bankStale_[idx] = 1;
+        decomposeStale_ = true;
+    }
+
+    /** Heal command-queue heads invalidated by a refresh drain. */
     void repairQueueHeads();
 
     /** Issue at most one DRAM command this cycle. */
     void issueCommand();
 
-    bool isIssuable(const Command &cmd) const;
+    static constexpr Cycle kNever = ~Cycle(0);
+
+    /**
+     * First cycle @p cmd may issue if no other state changes before
+     * then; kNever while the bank is in the wrong state for it.
+     */
+    Cycle earliestIssue(const Command &cmd) const;
     void execute(const Command &cmd);
 
     /** Row that bank will hold after its queued commands execute. */
@@ -191,7 +237,6 @@ class CycleDRAMCtrl : public MemCtrlBase
     /** Current tick of cycle @p c. */
     Tick tickOf(Cycle c) const { return anchor_ + c * cfg_.timing.tCK; }
 
-    void scheduleTickIfNeeded();
     bool hasWork() const;
 
     /** Fast-forward refresh bookkeeping over an idle gap. */
@@ -225,6 +270,39 @@ class CycleDRAMCtrl : public MemCtrlBase
     std::size_t transQueueLimit_;
     CommandQueue cmdQueue_;
     std::vector<std::uint64_t> tailRows_;
+
+    /**
+     * Decompose-scan state (derived; rebuilt on restore). Whether a
+     * transaction's next burst fits depends only on its bank's command
+     * queue depth and tail row, so the queue is also kept per bank:
+     * bankWaiters_ lists, in arrival order, the transactions whose
+     * next burst targets each flat bank. A bank is stale while a
+     * waiter may fit: after a waiter arrived or an input of the bank
+     * changed, until a scan found that none fits. decomposeStale_ is
+     * false while no bank is.
+     */
+    std::vector<std::vector<CycleTransaction *>> bankWaiters_;
+    std::vector<std::uint8_t> bankStale_;
+    bool decomposeStale_ = false;
+    std::uint64_t nextSeq_ = 0;
+
+    /**
+     * A refresh drain closed a bank out of queue order (the only way
+     * one closes under a queued command), so repairQueueHeads() must
+     * run before the next decomposition. Derived; set on restore.
+     */
+    bool repairPending_ = false;
+
+    /**
+     * Issue-scan skip state (derived; dirty in a fresh controller).
+     * After a scan that found no issuable head, nothing can issue
+     * before nextIssueAt_ unless a command, the head repair after a
+     * refresh drain, or a new queue head changes the state, which sets
+     * issueDirty_. A refresh itself only delays activates, and idle
+     * catch-up runs with empty queues.
+     */
+    Cycle nextIssueAt_ = 0;
+    bool issueDirty_ = true;
 
     std::vector<CycleBankState> banks_;
     std::vector<CycleRankState> rankState_;
