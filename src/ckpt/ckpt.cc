@@ -381,8 +381,8 @@ CkptIn::CkptIn(std::istream &is)
     if (cur.u32() != kFileMagic)
         fatal("checkpoint has bad magic: not a checkpoint file");
     std::uint32_t version = cur.u32();
-    if (version > kFormatVersion)
-        fatal("checkpoint format version %u is newer than this "
+    if (version != kFormatVersion)
+        fatal("checkpoint format version %u is not the version this "
               "build reads (%u)", version, kFormatVersion);
 
     std::string last = "<file header>";

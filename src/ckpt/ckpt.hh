@@ -46,7 +46,8 @@ namespace ckpt {
 /** Checkpoint stream format version written by this build. */
 // Version 2: packet records carry the latency-attribution span and
 // stats sections include the per-stage latency histograms.
-constexpr std::uint32_t kFormatVersion = 2;
+// Version 3: controller "cfgHash" is the exact configFingerprint().
+constexpr std::uint32_t kFormatVersion = 3;
 
 /** CRC32 (IEEE 802.3 polynomial) of @p len bytes at @p data. */
 std::uint32_t crc32(const void *data, std::size_t len);

@@ -49,16 +49,6 @@ CycleBankState::precharge(Cycle c, const CycleTiming &t)
     nextActivate = std::max(nextActivate, c + t.tRP);
 }
 
-bool
-CycleRankState::canActivate(Cycle c, const CycleTiming &t) const
-{
-    if (c < nextActAnyBank)
-        return false;
-    if (t.activationLimit == 0 || actWindow.size() < t.activationLimit)
-        return true;
-    return c >= actWindow.front() + t.tXAW;
-}
-
 void
 CycleRankState::recordActivate(Cycle c, const CycleTiming &t)
 {

@@ -8,6 +8,7 @@
 #ifndef DRAMCTRL_CYCLESIM_BANK_STATE_H
 #define DRAMCTRL_CYCLESIM_BANK_STATE_H
 
+#include <algorithm>
 #include <cstdint>
 
 #include "dram/dram_config.hh"
@@ -77,8 +78,15 @@ struct CycleRankState
     /** Last activationLimit ACT cycles; ring sized by the owner. */
     RingBuffer<Cycle> actWindow;
 
-    /** True iff an ACT may be issued at cycle @p c. */
-    bool canActivate(Cycle c, const CycleTiming &t) const;
+    /** Earliest cycle the rank allows an ACT under tRRD and tXAW. */
+    Cycle
+    earliestActivate(const CycleTiming &t) const
+    {
+        // tXAW: a full activation window waits for its oldest entry.
+        if (t.activationLimit > 0 && actWindow.size() >= t.activationLimit)
+            return std::max(nextActAnyBank, actWindow.front() + t.tXAW);
+        return nextActAnyBank;
+    }
 
     /** Record an ACT issued at cycle @p c. */
     void recordActivate(Cycle c, const CycleTiming &t);

@@ -155,7 +155,7 @@ CycleDRAMCtrl::startup()
 void
 CycleDRAMCtrl::serialize(ckpt::CkptOut &out) const
 {
-    ckpt::putCheck(out, "cfgHash", ckpt::fnv1a(cfg_.describe()));
+    ckpt::putCheck(out, "cfgHash", configFingerprint(cfg_));
 
     // Transactions are referenced from both the transaction queue and
     // the command rings; build a dedup table (transaction-queue order
@@ -278,7 +278,7 @@ CycleDRAMCtrl::unserialize(ckpt::CkptIn &in)
 {
     DC_ASSERT(transQueue_.empty() && cmdQueue_.empty(),
               "checkpoint restore into a non-fresh cycle controller");
-    ckpt::verifyCheck(in, "cfgHash", ckpt::fnv1a(cfg_.describe()),
+    ckpt::verifyCheck(in, "cfgHash", configFingerprint(cfg_),
                       "cycle controller configuration");
 
     const std::uint64_t trans_count = in.getU64("transCount");
@@ -930,13 +930,8 @@ CycleDRAMCtrl::earliestIssue(const Command &cmd) const
       case CmdType::Act: {
         if (bank.rowOpen())
             return kNever;
-        Cycle at = std::max({bank.nextActivate, grp_act,
-                             rank.nextActAnyBank});
-        // tXAW: a full activation window waits for its oldest entry.
-        if (ct_.activationLimit > 0 &&
-            rank.actWindow.size() >= ct_.activationLimit)
-            at = std::max(at, rank.actWindow.front() + ct_.tXAW);
-        return at;
+        return std::max({bank.nextActivate, grp_act,
+                         rank.earliestActivate(ct_)});
       }
       case CmdType::Pre:
         return bank.rowOpen() ? bank.nextPrecharge : kNever;

@@ -1,7 +1,9 @@
 #include "dram/dram_config.hh"
 
 #include <algorithm>
+#include <cstring>
 
+#include "ckpt/ckpt.hh"
 #include "sim/logging.hh"
 
 namespace dramctrl {
@@ -41,7 +43,7 @@ toString(SchedPolicy s)
 }
 
 bool
-addrMappingFromString(const std::string &name, AddrMapping &out)
+fromString(const std::string &name, AddrMapping &out)
 {
     for (AddrMapping m : {AddrMapping::RoRaBaCoCh,
                           AddrMapping::RoRaBaChCo,
@@ -55,7 +57,7 @@ addrMappingFromString(const std::string &name, AddrMapping &out)
 }
 
 bool
-pagePolicyFromString(const std::string &name, PagePolicy &out)
+fromString(const std::string &name, PagePolicy &out)
 {
     for (PagePolicy p : {PagePolicy::Open, PagePolicy::OpenAdaptive,
                          PagePolicy::Closed,
@@ -69,7 +71,7 @@ pagePolicyFromString(const std::string &name, PagePolicy &out)
 }
 
 bool
-schedPolicyFromString(const std::string &name, SchedPolicy &out)
+fromString(const std::string &name, SchedPolicy &out)
 {
     for (SchedPolicy s : {SchedPolicy::Fcfs, SchedPolicy::FrFcfs,
                           SchedPolicy::FrFcfsPrio}) {
@@ -79,6 +81,52 @@ schedPolicyFromString(const std::string &name, SchedPolicy &out)
         }
     }
     return false;
+}
+
+const char *
+toString(ConfigSection s)
+{
+    switch (s) {
+      case ConfigSection::Organisation: return "organisation";
+      case ConfigSection::Timing: return "timing";
+      case ConfigSection::Controller: return "controller";
+      case ConfigSection::Plugin: return "plugins";
+    }
+    return "InvalidSection";
+}
+
+std::uint64_t
+configFingerprint(const DRAMCtrlConfig &cfg)
+{
+    // Canonical bytes: every value as a little-endian u64; strings and
+    // lists carry their length first, so no two configs share bytes.
+    std::string bytes;
+    auto put = [&bytes](std::uint64_t v) {
+        for (int i = 0; i < 8; ++i, v >>= 8)
+            bytes += static_cast<char>(v & 0xff);
+    };
+    auto fold = [&](const ConfigField &, const auto &v) {
+        using T = std::decay_t<decltype(v)>;
+        if constexpr (std::is_same_v<T, double>) {
+            std::uint64_t bits;
+            std::memcpy(&bits, &v, sizeof(bits));
+            put(bits);
+        } else if constexpr (std::is_same_v<T, std::string>) {
+            put(v.size());
+            bytes += v;
+        } else if constexpr (std::is_same_v<T, std::vector<unsigned>>) {
+            put(v.size());
+            for (unsigned p : v)
+                put(p);
+        } else {
+            put(static_cast<std::uint64_t>(v));
+        }
+    };
+    forEachField(cfg, fold);
+    put(cfg.plugins.size());
+    for (const PluginSpec &ps : cfg.plugins)
+        forEachPluginField(ps, fold);
+    return ckpt::fnv1a(bytes);
 }
 
 void
@@ -175,8 +223,8 @@ DRAMCtrlConfig::describe() const
                       static_cast<unsigned long long>(
                           org.burstSize()));
     // Bank-group / pseudochannel organisation only appears when it
-    // departs from the ungrouped DDR3-era default, so the describe()
-    // fingerprints of legacy configs are unchanged.
+    // departs from the ungrouped DDR3-era default, which keeps the
+    // summary of a DDR3-era config short.
     if (org.bankGroupsPerRank != 1)
         s += formatString("  bank groups         %u\n",
                           org.bankGroupsPerRank);

@@ -10,6 +10,7 @@
 #define DRAMCTRL_DRAM_DRAM_CONFIG_H
 
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "sim/types.hh"
@@ -56,12 +57,12 @@ const char *toString(PagePolicy p);
 const char *toString(SchedPolicy s);
 
 /**
- * Inverse of the toString()s above, for CLIs and repro files.
+ * Inverse of the toString()s above, for CLIs and config documents.
  * @return false when @p name matches no enumerator (@p out untouched).
  */
-bool addrMappingFromString(const std::string &name, AddrMapping &out);
-bool pagePolicyFromString(const std::string &name, PagePolicy &out);
-bool schedPolicyFromString(const std::string &name, SchedPolicy &out);
+bool fromString(const std::string &name, AddrMapping &out);
+bool fromString(const std::string &name, PagePolicy &out);
+bool fromString(const std::string &name, SchedPolicy &out);
 
 /**
  * Memory organisation of one channel (Section II-A): geometry the
@@ -376,10 +377,161 @@ struct DRAMCtrlConfig
 
     /**
      * Human-readable summary of every knob (the gem5 config.ini
-     * analogue), for logs and reproducibility records.
+     * analogue), for logs. Values are rounded for reading; the
+     * identity of a configuration is configFingerprint().
      */
     std::string describe() const;
 };
+
+/** Section of a config document that holds a field. */
+enum class ConfigSection { Organisation, Timing, Controller, Plugin };
+
+/** JSON name of a section ("organisation", ..., "plugins"). */
+const char *toString(ConfigSection s);
+
+/** What a config field holds; fixes its JSON form and its hash. */
+enum class FieldKind {
+    UInt,         ///< unsigned
+    U64,          ///< std::uint64_t
+    Duration,     ///< Tick; nanoseconds in config documents
+    Double,       ///< double
+    Bool,         ///< bool
+    Enum,         ///< an enum class by enumerator name, or the plugin
+                  ///< kind string
+    PriorityList, ///< std::vector<unsigned>
+};
+
+/** True when a field of C++ type T may be declared as kind @p k. */
+template <typename T>
+constexpr bool
+kindHolds(FieldKind k)
+{
+    switch (k) {
+      case FieldKind::UInt: return std::is_same_v<T, unsigned>;
+      case FieldKind::U64:
+      case FieldKind::Duration: return std::is_same_v<T, std::uint64_t>;
+      case FieldKind::Double: return std::is_same_v<T, double>;
+      case FieldKind::Bool: return std::is_same_v<T, bool>;
+      case FieldKind::Enum:
+        return std::is_enum_v<T> || std::is_same_v<T, std::string>;
+      case FieldKind::PriorityList:
+        return std::is_same_v<T, std::vector<unsigned>>;
+    }
+    return false;
+}
+
+/** One row of the config field table. */
+struct ConfigField
+{
+    ConfigSection section;
+    /** JSON key: the member's own name. */
+    const char *key;
+    FieldKind kind;
+};
+
+/*
+ * The config field table. It names every field of DRAMOrg, DRAMTiming,
+ * DRAMCtrlConfig and PluginSpec exactly once; the JSON codec
+ * (harness/config_file.cc), repro files and configFingerprint() walk
+ * it instead of listing fields themselves. A new knob gets one row
+ * here and is then written, read and hashed everywhere.
+ */
+#define DRAMCTRL_CONFIG_FIELD(section, kind, owner, member)              \
+    static_assert(kindHolds<decltype(owner.member)>(FieldKind::kind),   \
+                  #member " does not hold a " #kind);                   \
+    visit(ConfigField{ConfigSection::section, #member, FieldKind::kind}, \
+          owner.member)
+
+/**
+ * Call visit(const ConfigField &, value) for every organisation,
+ * timing and controller field of @p cfg, in table order. @p cfg may be
+ * const; value is a reference to the member. The plugin chain is not
+ * walked: use forEachPluginField() on each entry.
+ */
+template <typename Config, typename Visit>
+void
+forEachField(Config &cfg, Visit &&visit)
+{
+    DRAMCTRL_CONFIG_FIELD(Organisation, UInt, cfg.org, burstLength);
+    DRAMCTRL_CONFIG_FIELD(Organisation, UInt, cfg.org, deviceBusWidth);
+    DRAMCTRL_CONFIG_FIELD(Organisation, UInt, cfg.org, devicesPerRank);
+    DRAMCTRL_CONFIG_FIELD(Organisation, UInt, cfg.org, ranksPerChannel);
+    DRAMCTRL_CONFIG_FIELD(Organisation, UInt, cfg.org, banksPerRank);
+    DRAMCTRL_CONFIG_FIELD(Organisation, UInt, cfg.org, bankGroupsPerRank);
+    DRAMCTRL_CONFIG_FIELD(Organisation, UInt, cfg.org, pseudoChannels);
+    DRAMCTRL_CONFIG_FIELD(Organisation, U64, cfg.org, rowBufferSize);
+    DRAMCTRL_CONFIG_FIELD(Organisation, U64, cfg.org, channelCapacity);
+
+    DRAMCTRL_CONFIG_FIELD(Timing, Duration, cfg.timing, tCK);
+    DRAMCTRL_CONFIG_FIELD(Timing, Duration, cfg.timing, tBURST);
+    DRAMCTRL_CONFIG_FIELD(Timing, Duration, cfg.timing, tRCD);
+    DRAMCTRL_CONFIG_FIELD(Timing, Duration, cfg.timing, tCL);
+    DRAMCTRL_CONFIG_FIELD(Timing, Duration, cfg.timing, tRP);
+    DRAMCTRL_CONFIG_FIELD(Timing, Duration, cfg.timing, tRAS);
+    DRAMCTRL_CONFIG_FIELD(Timing, Duration, cfg.timing, tWR);
+    DRAMCTRL_CONFIG_FIELD(Timing, Duration, cfg.timing, tWTR);
+    DRAMCTRL_CONFIG_FIELD(Timing, Duration, cfg.timing, tRTW);
+    DRAMCTRL_CONFIG_FIELD(Timing, Duration, cfg.timing, tRRD);
+    DRAMCTRL_CONFIG_FIELD(Timing, Duration, cfg.timing, tXAW);
+    DRAMCTRL_CONFIG_FIELD(Timing, Duration, cfg.timing, tREFI);
+    DRAMCTRL_CONFIG_FIELD(Timing, Duration, cfg.timing, tRFC);
+    DRAMCTRL_CONFIG_FIELD(Timing, UInt, cfg.timing, activationLimit);
+    DRAMCTRL_CONFIG_FIELD(Timing, Duration, cfg.timing, tCCD_L);
+    DRAMCTRL_CONFIG_FIELD(Timing, Duration, cfg.timing, tCCD_S);
+    DRAMCTRL_CONFIG_FIELD(Timing, Duration, cfg.timing, tRRD_L);
+    DRAMCTRL_CONFIG_FIELD(Timing, Duration, cfg.timing, tRFCsb);
+
+    DRAMCTRL_CONFIG_FIELD(Controller, UInt, cfg, readBufferSize);
+    DRAMCTRL_CONFIG_FIELD(Controller, UInt, cfg, writeBufferSize);
+    DRAMCTRL_CONFIG_FIELD(Controller, Double, cfg, writeHighThreshold);
+    DRAMCTRL_CONFIG_FIELD(Controller, Double, cfg, writeLowThreshold);
+    DRAMCTRL_CONFIG_FIELD(Controller, UInt, cfg, minWritesPerSwitch);
+    DRAMCTRL_CONFIG_FIELD(Controller, Enum, cfg, schedPolicy);
+    DRAMCTRL_CONFIG_FIELD(Controller, Enum, cfg, addrMapping);
+    DRAMCTRL_CONFIG_FIELD(Controller, Enum, cfg, pagePolicy);
+    DRAMCTRL_CONFIG_FIELD(Controller, Duration, cfg, frontendLatency);
+    DRAMCTRL_CONFIG_FIELD(Controller, Duration, cfg, backendLatency);
+    DRAMCTRL_CONFIG_FIELD(Controller, UInt, cfg, maxAccessesPerRow);
+    DRAMCTRL_CONFIG_FIELD(Controller, Bool, cfg, enablePowerDown);
+    DRAMCTRL_CONFIG_FIELD(Controller, Duration, cfg, powerDownDelay);
+    DRAMCTRL_CONFIG_FIELD(Controller, Duration, cfg, tXP);
+    DRAMCTRL_CONFIG_FIELD(Controller, Bool, cfg, enableSelfRefresh);
+    DRAMCTRL_CONFIG_FIELD(Controller, Duration, cfg, selfRefreshDelay);
+    DRAMCTRL_CONFIG_FIELD(Controller, Duration, cfg, tXS);
+    DRAMCTRL_CONFIG_FIELD(Controller, PriorityList, cfg,
+                          requestorPriorities);
+    DRAMCTRL_CONFIG_FIELD(Controller, Double, cfg, temperatureC);
+    DRAMCTRL_CONFIG_FIELD(Controller, Bool, cfg, perRankRefresh);
+}
+
+/** forEachField() for one plugin chain entry @p ps. */
+template <typename Spec, typename Visit>
+void
+forEachPluginField(Spec &ps, Visit &&visit)
+{
+    DRAMCTRL_CONFIG_FIELD(Plugin, Enum, ps, kind);
+    DRAMCTRL_CONFIG_FIELD(Plugin, UInt, ps, eccDataBits);
+    DRAMCTRL_CONFIG_FIELD(Plugin, UInt, ps, eccCheckBits);
+    DRAMCTRL_CONFIG_FIELD(Plugin, UInt, ps, eccCorrectBits);
+    DRAMCTRL_CONFIG_FIELD(Plugin, UInt, ps, eccDetectBits);
+    DRAMCTRL_CONFIG_FIELD(Plugin, Double, ps, eccBer);
+    DRAMCTRL_CONFIG_FIELD(Plugin, U64, ps, eccSeed);
+    DRAMCTRL_CONFIG_FIELD(Plugin, UInt, ps, pracThreshold);
+    DRAMCTRL_CONFIG_FIELD(Plugin, Duration, ps, tRFM);
+    DRAMCTRL_CONFIG_FIELD(Plugin, Duration, ps, tRFCpb);
+}
+
+#undef DRAMCTRL_CONFIG_FIELD
+
+/**
+ * Exact identity of a configuration: FNV-1a over the canonical value
+ * of every table field — tick and integer values, raw double bits,
+ * enum ordinals, bools, list lengths and entries — and over the plugin
+ * chain's length and each entry's fields (the kind by its bytes). Any
+ * one-field change alters it; it guards checkpoint restore as
+ * "cfgHash".
+ */
+std::uint64_t configFingerprint(const DRAMCtrlConfig &cfg);
 
 } // namespace dramctrl
 

@@ -288,7 +288,7 @@ DRAMCtrl::startup()
 void
 DRAMCtrl::serialize(ckpt::CkptOut &out) const
 {
-    ckpt::putCheck(out, "cfgHash", ckpt::fnv1a(cfg_.describe()));
+    ckpt::putCheck(out, "cfgHash", configFingerprint(cfg_));
 
     // Bank timing state is already flat rank-major struct-of-arrays,
     // the exact layout the checkpoint format records.
@@ -397,7 +397,7 @@ DRAMCtrl::serialize(ckpt::CkptOut &out) const
 void
 DRAMCtrl::unserialize(ckpt::CkptIn &in)
 {
-    ckpt::verifyCheck(in, "cfgHash", ckpt::fnv1a(cfg_.describe()),
+    ckpt::verifyCheck(in, "cfgHash", configFingerprint(cfg_),
                       "DRAM controller configuration");
     DC_ASSERT(readQueue_.empty() && writeQueue_.empty(),
               "restore into a non-empty controller");

@@ -1,10 +1,10 @@
 #include "harness/config_file.hh"
 
 #include <fstream>
-#include <initializer_list>
+#include <limits>
 #include <sstream>
+#include <type_traits>
 
-#include "ckpt/ckpt.hh"
 #include "dram/dram_presets.hh"
 #include "sim/logging.hh"
 
@@ -17,6 +17,11 @@ using validate::Json;
 
 constexpr const char *kFormat = "dramctrl-config-v1";
 
+/** The object sections of a document; "plugins" is an array. */
+constexpr ConfigSection kObjectSections[] = {
+    ConfigSection::Organisation, ConfigSection::Timing,
+    ConfigSection::Controller};
+
 bool
 failAt(std::string *err, const std::string &where,
        const std::string &msg)
@@ -24,85 +29,6 @@ failAt(std::string *err, const std::string &where,
     if (err)
         *err = where + ": " + msg;
     return false;
-}
-
-/** Reject any member of @p j not in @p allowed — typos are errors. */
-bool
-checkKeys(const Json &j, const std::string &where,
-          std::initializer_list<const char *> allowed, std::string *err)
-{
-    for (const auto &kv : j.members()) {
-        bool known = false;
-        for (const char *k : allowed) {
-            if (kv.first == k) {
-                known = true;
-                break;
-            }
-        }
-        if (!known)
-            return failAt(err, where,
-                          "unknown key '" + kv.first + "'");
-    }
-    return true;
-}
-
-template <typename T>
-bool
-getUInt(const Json &j, const std::string &where, const char *key,
-        T &out, std::string *err)
-{
-    if (!j.has(key))
-        return true;
-    const Json &v = j[key];
-    if (!v.isNumber())
-        return failAt(err, where,
-                      std::string("'") + key + "' must be a number");
-    out = static_cast<T>(v.asUInt());
-    return true;
-}
-
-bool
-getDouble(const Json &j, const std::string &where, const char *key,
-          double &out, std::string *err)
-{
-    if (!j.has(key))
-        return true;
-    const Json &v = j[key];
-    if (!v.isNumber())
-        return failAt(err, where,
-                      std::string("'") + key + "' must be a number");
-    out = v.asDouble();
-    return true;
-}
-
-/** Read a duration given in nanoseconds into a tick field. */
-bool
-getNs(const Json &j, const std::string &where, const char *key,
-      Tick &out, std::string *err)
-{
-    if (!j.has(key))
-        return true;
-    const Json &v = j[key];
-    if (!v.isNumber())
-        return failAt(err, where,
-                      std::string("'") + key +
-                          "' must be a number (nanoseconds)");
-    out = fromNs(v.asDouble());
-    return true;
-}
-
-bool
-getBool(const Json &j, const std::string &where, const char *key,
-        bool &out, std::string *err)
-{
-    if (!j.has(key))
-        return true;
-    const Json &v = j[key];
-    if (v.type() != Json::Type::Bool)
-        return failAt(err, where,
-                      std::string("'") + key + "' must be a boolean");
-    out = v.asBool();
-    return true;
 }
 
 bool
@@ -119,190 +45,179 @@ getString(const Json &j, const std::string &where, const char *key,
     return true;
 }
 
+/** True when @p v is an integer literal that fits an unsigned T. */
+template <typename T>
 bool
-orgFromJson(const Json &j, DRAMOrg &org, std::string *err)
+fitsUnsigned(const Json &v)
 {
-    const std::string where = "organisation";
-    if (!j.isObject())
-        return failAt(err, where, "must be an object");
-    if (!checkKeys(j, where,
-                   {"burstLength", "deviceBusWidth", "devicesPerRank",
-                    "ranksPerChannel", "banksPerRank",
-                    "bankGroupsPerRank", "pseudoChannels",
-                    "rowBufferSize", "channelCapacity"},
-                   err))
-        return false;
-    return getUInt(j, where, "burstLength", org.burstLength, err) &&
-           getUInt(j, where, "deviceBusWidth", org.deviceBusWidth,
-                   err) &&
-           getUInt(j, where, "devicesPerRank", org.devicesPerRank,
-                   err) &&
-           getUInt(j, where, "ranksPerChannel", org.ranksPerChannel,
-                   err) &&
-           getUInt(j, where, "banksPerRank", org.banksPerRank, err) &&
-           getUInt(j, where, "bankGroupsPerRank",
-                   org.bankGroupsPerRank, err) &&
-           getUInt(j, where, "pseudoChannels", org.pseudoChannels,
-                   err) &&
-           getUInt(j, where, "rowBufferSize", org.rowBufferSize,
-                   err) &&
-           getUInt(j, where, "channelCapacity", org.channelCapacity,
-                   err);
+    return v.isUInt() && v.asUInt() <= std::numeric_limits<T>::max();
 }
 
-bool
-timingFromJson(const Json &j, DRAMTiming &t, std::string *err)
+/** JSON form of one table field's value. */
+template <typename T>
+Json
+fieldToJson(const ConfigField &f, const T &v)
 {
-    const std::string where = "timing";
-    if (!j.isObject())
-        return failAt(err, where, "must be an object");
-    if (!checkKeys(j, where,
-                   {"tCK", "tBURST", "tRCD", "tCL", "tRP", "tRAS",
-                    "tWR", "tWTR", "tRTW", "tRRD", "tXAW", "tREFI",
-                    "tRFC", "tCCD_L", "tCCD_S", "tRRD_L", "tRFCsb",
-                    "activationLimit"},
-                   err))
-        return false;
-    return getNs(j, where, "tCK", t.tCK, err) &&
-           getNs(j, where, "tBURST", t.tBURST, err) &&
-           getNs(j, where, "tRCD", t.tRCD, err) &&
-           getNs(j, where, "tCL", t.tCL, err) &&
-           getNs(j, where, "tRP", t.tRP, err) &&
-           getNs(j, where, "tRAS", t.tRAS, err) &&
-           getNs(j, where, "tWR", t.tWR, err) &&
-           getNs(j, where, "tWTR", t.tWTR, err) &&
-           getNs(j, where, "tRTW", t.tRTW, err) &&
-           getNs(j, where, "tRRD", t.tRRD, err) &&
-           getNs(j, where, "tXAW", t.tXAW, err) &&
-           getNs(j, where, "tREFI", t.tREFI, err) &&
-           getNs(j, where, "tRFC", t.tRFC, err) &&
-           getNs(j, where, "tCCD_L", t.tCCD_L, err) &&
-           getNs(j, where, "tCCD_S", t.tCCD_S, err) &&
-           getNs(j, where, "tRRD_L", t.tRRD_L, err) &&
-           getNs(j, where, "tRFCsb", t.tRFCsb, err) &&
-           getUInt(j, where, "activationLimit", t.activationLimit,
-                   err);
+    if constexpr (std::is_enum_v<T>) {
+        return Json(toString(v));
+    } else if constexpr (std::is_same_v<T, std::vector<unsigned>>) {
+        Json arr = Json::array();
+        for (unsigned p : v)
+            arr.push(p);
+        return arr;
+    } else if constexpr (std::is_same_v<T, std::uint64_t>) {
+        // Durations in ns (%.17g survives the tick round-trip exactly).
+        return f.kind == FieldKind::Duration ? Json(toNs(v)) : Json(v);
+    } else {
+        return Json(v);
+    }
 }
 
-bool
-controllerFromJson(const Json &j, DRAMCtrlConfig &cfg, std::string *err)
+/**
+ * Decode one table field from @p v into @p out.
+ * @return "" on success, else why @p v does not fit the field.
+ */
+template <typename T>
+std::string
+fieldFromJson(const ConfigField &f, const Json &v, T &out)
 {
-    const std::string where = "controller";
-    if (!j.isObject())
-        return failAt(err, where, "must be an object");
-    if (!checkKeys(j, where,
-                   {"readBufferSize", "writeBufferSize",
-                    "writeHighThreshold", "writeLowThreshold",
-                    "minWritesPerSwitch", "schedPolicy", "addrMapping",
-                    "pagePolicy", "frontendLatency", "backendLatency",
-                    "maxAccessesPerRow", "enablePowerDown",
-                    "powerDownDelay", "tXP", "enableSelfRefresh",
-                    "selfRefreshDelay", "tXS", "requestorPriorities",
-                    "temperatureC", "perRankRefresh"},
-                   err))
-        return false;
-    if (!(getUInt(j, where, "readBufferSize", cfg.readBufferSize,
-                  err) &&
-          getUInt(j, where, "writeBufferSize", cfg.writeBufferSize,
-                  err) &&
-          getDouble(j, where, "writeHighThreshold",
-                    cfg.writeHighThreshold, err) &&
-          getDouble(j, where, "writeLowThreshold",
-                    cfg.writeLowThreshold, err) &&
-          getUInt(j, where, "minWritesPerSwitch",
-                  cfg.minWritesPerSwitch, err) &&
-          getNs(j, where, "frontendLatency", cfg.frontendLatency,
-                err) &&
-          getNs(j, where, "backendLatency", cfg.backendLatency, err) &&
-          getUInt(j, where, "maxAccessesPerRow", cfg.maxAccessesPerRow,
-                  err) &&
-          getBool(j, where, "enablePowerDown", cfg.enablePowerDown,
-                  err) &&
-          getNs(j, where, "powerDownDelay", cfg.powerDownDelay, err) &&
-          getNs(j, where, "tXP", cfg.tXP, err) &&
-          getBool(j, where, "enableSelfRefresh", cfg.enableSelfRefresh,
-                  err) &&
-          getNs(j, where, "selfRefreshDelay", cfg.selfRefreshDelay,
-                err) &&
-          getNs(j, where, "tXS", cfg.tXS, err) &&
-          getDouble(j, where, "temperatureC", cfg.temperatureC, err) &&
-          getBool(j, where, "perRankRefresh", cfg.perRankRefresh,
-                  err)))
-        return false;
-    std::string name;
-    if (!getString(j, where, "schedPolicy", name, err))
-        return false;
-    if (j.has("schedPolicy") &&
-        !schedPolicyFromString(name, cfg.schedPolicy))
-        return failAt(err, where, "unknown schedPolicy '" + name + "'");
-    name.clear();
-    if (!getString(j, where, "addrMapping", name, err))
-        return false;
-    if (j.has("addrMapping") &&
-        !addrMappingFromString(name, cfg.addrMapping))
-        return failAt(err, where, "unknown addrMapping '" + name + "'");
-    name.clear();
-    if (!getString(j, where, "pagePolicy", name, err))
-        return false;
-    if (j.has("pagePolicy") &&
-        !pagePolicyFromString(name, cfg.pagePolicy))
-        return failAt(err, where, "unknown pagePolicy '" + name + "'");
-    if (j.has("requestorPriorities")) {
-        const Json &arr = j["requestorPriorities"];
-        if (!arr.isArray())
-            return failAt(err, where,
-                          "'requestorPriorities' must be an array");
-        cfg.requestorPriorities.clear();
-        for (const Json &v : arr.items()) {
-            if (!v.isNumber())
-                return failAt(
-                    err, where,
-                    "'requestorPriorities' entries must be numbers");
-            cfg.requestorPriorities.push_back(
-                static_cast<unsigned>(v.asUInt()));
+    const std::string key = std::string("'") + f.key + "'";
+    if constexpr (std::is_same_v<T, bool>) {
+        if (v.type() != Json::Type::Bool)
+            return key + " must be a boolean";
+        out = v.asBool();
+    } else if constexpr (std::is_same_v<T, std::string> ||
+                         std::is_enum_v<T>) {
+        if (v.type() != Json::Type::String)
+            return key + " must be a string";
+        if constexpr (std::is_enum_v<T>) {
+            if (!fromString(v.asString(), out))
+                return "unknown " + std::string(f.key) + " '" +
+                       v.asString() + "'";
+        } else {
+            out = v.asString();
+        }
+    } else if constexpr (std::is_same_v<T, std::vector<unsigned>>) {
+        if (!v.isArray())
+            return key + " must be an array";
+        out.clear();
+        for (const Json &e : v.items()) {
+            if (!fitsUnsigned<unsigned>(e))
+                return key + " entries must be integers in [0, " +
+                       std::to_string(
+                           std::numeric_limits<unsigned>::max()) +
+                       "]";
+            out.push_back(static_cast<unsigned>(e.asUInt()));
+        }
+    } else {
+        const bool ns = f.kind == FieldKind::Duration;
+        if (!v.isNumber())
+            return key + (ns ? " must be a number (nanoseconds)"
+                             : " must be a number");
+        if constexpr (std::is_same_v<T, double>) {
+            out = v.asDouble();
+        } else if (ns) {
+            // fromNs() rounds to the nearest tick; that must fit.
+            const double ticks =
+                v.asDouble() * static_cast<double>(kTicksPerNs) + 0.5;
+            if (!(v.asDouble() >= 0.0 && ticks < 0x1p64))
+                return key + " must be a duration in [0, " +
+                       std::to_string(kMaxTick / kTicksPerNs) + "] ns";
+            out = fromNs(v.asDouble());
+        } else {
+            if (!fitsUnsigned<T>(v))
+                return key + " must be an integer in [0, " +
+                       std::to_string(std::numeric_limits<T>::max()) +
+                       "]";
+            out = static_cast<T>(v.asUInt());
         }
     }
+    return "";
+}
+
+/** True when @p key names a field of section @p s in the table. */
+bool
+isField(ConfigSection s, const std::string &key)
+{
+    bool found = false;
+    auto match = [&](const ConfigField &f, const auto &) {
+        found = found || (f.section == s && key == f.key);
+    };
+    const DRAMCtrlConfig cfg;
+    const PluginSpec ps;
+    if (s == ConfigSection::Plugin)
+        forEachPluginField(ps, match);
+    else
+        forEachField(cfg, match);
+    return found;
+}
+
+/** Reject a section that is not an object or has unknown keys. */
+bool
+checkSection(const Json &j, ConfigSection s, std::string *err)
+{
+    if (!j.isObject())
+        return failAt(err, toString(s),
+                      s == ConfigSection::Plugin ? "entries must be objects"
+                                                 : "must be an object");
+    for (const auto &kv : j.members()) {
+        if (!isField(s, kv.first))
+            return failAt(err, toString(s),
+                          "unknown key '" + kv.first + "'");
+    }
     return true;
+}
+
+/**
+ * Visitor that reads each table field present in its section of
+ * @p doc; the first failure sticks in @p err and skips the rest.
+ */
+auto
+fieldReader(const Json &doc, bool &ok, std::string *err)
+{
+    return [&doc, &ok, err](const ConfigField &f, auto &out) {
+        const Json &sec = f.section == ConfigSection::Plugin
+                              ? doc
+                              : doc[toString(f.section)];
+        if (!ok || !sec.has(f.key))
+            return;
+        std::string msg = fieldFromJson(f, sec[f.key], out);
+        if (!msg.empty())
+            ok = failAt(err, toString(f.section), msg);
+    };
 }
 
 bool
 pluginsFromJson(const Json &j, DRAMCtrlConfig &cfg, std::string *err)
 {
-    const std::string where = "plugins";
     if (!j.isArray())
-        return failAt(err, where, "must be an array");
+        return failAt(err, "plugins", "must be an array");
     cfg.plugins.clear();
     for (const Json &row : j.items()) {
-        if (!row.isObject())
-            return failAt(err, where, "entries must be objects");
-        if (!checkKeys(row, where,
-                       {"kind", "eccDataBits", "eccCheckBits",
-                        "eccCorrectBits", "eccDetectBits", "eccBer",
-                        "eccSeed", "pracThreshold", "tRFM", "tRFCpb"},
-                       err))
+        if (!checkSection(row, ConfigSection::Plugin, err))
             return false;
         PluginSpec ps;
-        if (!(getString(row, where, "kind", ps.kind, err) &&
-              getUInt(row, where, "eccDataBits", ps.eccDataBits,
-                      err) &&
-              getUInt(row, where, "eccCheckBits", ps.eccCheckBits,
-                      err) &&
-              getUInt(row, where, "eccCorrectBits", ps.eccCorrectBits,
-                      err) &&
-              getUInt(row, where, "eccDetectBits", ps.eccDetectBits,
-                      err) &&
-              getDouble(row, where, "eccBer", ps.eccBer, err) &&
-              getUInt(row, where, "eccSeed", ps.eccSeed, err) &&
-              getUInt(row, where, "pracThreshold", ps.pracThreshold,
-                      err) &&
-              getNs(row, where, "tRFM", ps.tRFM, err) &&
-              getNs(row, where, "tRFCpb", ps.tRFCpb, err)))
+        bool ok = true;
+        forEachPluginField(ps, fieldReader(row, ok, err));
+        if (!ok)
             return false;
         if (ps.kind.empty())
-            return failAt(err, where, "entry without a kind");
+            return failAt(err, "plugins", "entry without a kind");
         cfg.plugins.push_back(ps);
     }
     return true;
+}
+
+} // namespace
+
+bool
+parseConfigText(const std::string &text, DRAMCtrlConfig &cfg,
+                std::string *base_preset, std::string *err)
+{
+    Json j;
+    if (!validate::parseJson(text, j, err))
+        return false;
+    return configFromJson(j, cfg, base_preset, err);
 }
 
 bool
@@ -312,11 +227,12 @@ configFromJson(const Json &j, DRAMCtrlConfig &cfg,
     const std::string where = "config";
     if (!j.isObject())
         return failAt(err, where, "root must be an object");
-    if (!checkKeys(j, where,
-                   {"format", "preset", "organisation", "timing",
-                    "controller", "plugins"},
-                   err))
-        return false;
+    for (const auto &kv : j.members()) {
+        if (kv.first != "format" && kv.first != "preset" &&
+            kv.first != "organisation" && kv.first != "timing" &&
+            kv.first != "controller" && kv.first != "plugins")
+            return failAt(err, where, "unknown key '" + kv.first + "'");
+    }
     std::string format;
     if (!getString(j, where, "format", format, err))
         return false;
@@ -335,117 +251,15 @@ configFromJson(const Json &j, DRAMCtrlConfig &cfg,
     }
     if (base_preset)
         *base_preset = preset;
-    if (j.has("organisation") &&
-        !orgFromJson(j["organisation"], cfg.org, err))
+    for (ConfigSection s : kObjectSections) {
+        if (j.has(toString(s)) && !checkSection(j[toString(s)], s, err))
+            return false;
+    }
+    bool ok = true;
+    forEachField(cfg, fieldReader(j, ok, err));
+    if (!ok)
         return false;
-    if (j.has("timing") && !timingFromJson(j["timing"], cfg.timing, err))
-        return false;
-    if (j.has("controller") && !controllerFromJson(j["controller"], cfg, err))
-        return false;
-    if (j.has("plugins") && !pluginsFromJson(j["plugins"], cfg, err))
-        return false;
-    return true;
-}
-
-Json
-orgToJson(const DRAMOrg &org)
-{
-    Json j = Json::object();
-    j.set("burstLength", org.burstLength);
-    j.set("deviceBusWidth", org.deviceBusWidth);
-    j.set("devicesPerRank", org.devicesPerRank);
-    j.set("ranksPerChannel", org.ranksPerChannel);
-    j.set("banksPerRank", org.banksPerRank);
-    j.set("bankGroupsPerRank", org.bankGroupsPerRank);
-    j.set("pseudoChannels", org.pseudoChannels);
-    j.set("rowBufferSize", org.rowBufferSize);
-    j.set("channelCapacity", org.channelCapacity);
-    return j;
-}
-
-Json
-timingToJson(const DRAMTiming &t)
-{
-    // Emitted in ns (%.17g survives the tick round-trip exactly).
-    Json j = Json::object();
-    j.set("tCK", toNs(t.tCK));
-    j.set("tBURST", toNs(t.tBURST));
-    j.set("tRCD", toNs(t.tRCD));
-    j.set("tCL", toNs(t.tCL));
-    j.set("tRP", toNs(t.tRP));
-    j.set("tRAS", toNs(t.tRAS));
-    j.set("tWR", toNs(t.tWR));
-    j.set("tWTR", toNs(t.tWTR));
-    j.set("tRTW", toNs(t.tRTW));
-    j.set("tRRD", toNs(t.tRRD));
-    j.set("tXAW", toNs(t.tXAW));
-    j.set("tREFI", toNs(t.tREFI));
-    j.set("tRFC", toNs(t.tRFC));
-    j.set("tCCD_L", toNs(t.tCCD_L));
-    j.set("tCCD_S", toNs(t.tCCD_S));
-    j.set("tRRD_L", toNs(t.tRRD_L));
-    j.set("tRFCsb", toNs(t.tRFCsb));
-    j.set("activationLimit", t.activationLimit);
-    return j;
-}
-
-Json
-controllerToJson(const DRAMCtrlConfig &cfg)
-{
-    Json j = Json::object();
-    j.set("readBufferSize", cfg.readBufferSize);
-    j.set("writeBufferSize", cfg.writeBufferSize);
-    j.set("writeHighThreshold", cfg.writeHighThreshold);
-    j.set("writeLowThreshold", cfg.writeLowThreshold);
-    j.set("minWritesPerSwitch", cfg.minWritesPerSwitch);
-    j.set("schedPolicy", toString(cfg.schedPolicy));
-    j.set("addrMapping", toString(cfg.addrMapping));
-    j.set("pagePolicy", toString(cfg.pagePolicy));
-    j.set("frontendLatency", toNs(cfg.frontendLatency));
-    j.set("backendLatency", toNs(cfg.backendLatency));
-    j.set("maxAccessesPerRow", cfg.maxAccessesPerRow);
-    j.set("enablePowerDown", cfg.enablePowerDown);
-    j.set("powerDownDelay", toNs(cfg.powerDownDelay));
-    j.set("tXP", toNs(cfg.tXP));
-    j.set("enableSelfRefresh", cfg.enableSelfRefresh);
-    j.set("selfRefreshDelay", toNs(cfg.selfRefreshDelay));
-    j.set("tXS", toNs(cfg.tXS));
-    Json prio = Json::array();
-    for (unsigned p : cfg.requestorPriorities)
-        prio.push(p);
-    j.set("requestorPriorities", prio);
-    j.set("temperatureC", cfg.temperatureC);
-    j.set("perRankRefresh", cfg.perRankRefresh);
-    return j;
-}
-
-Json
-pluginToJson(const PluginSpec &ps)
-{
-    Json j = Json::object();
-    j.set("kind", ps.kind);
-    j.set("eccDataBits", ps.eccDataBits);
-    j.set("eccCheckBits", ps.eccCheckBits);
-    j.set("eccCorrectBits", ps.eccCorrectBits);
-    j.set("eccDetectBits", ps.eccDetectBits);
-    j.set("eccBer", ps.eccBer);
-    j.set("eccSeed", ps.eccSeed);
-    j.set("pracThreshold", ps.pracThreshold);
-    j.set("tRFM", toNs(ps.tRFM));
-    j.set("tRFCpb", toNs(ps.tRFCpb));
-    return j;
-}
-
-} // namespace
-
-bool
-parseConfigText(const std::string &text, DRAMCtrlConfig &cfg,
-                std::string *base_preset, std::string *err)
-{
-    Json j;
-    if (!validate::parseJson(text, j, err))
-        return false;
-    return configFromJson(j, cfg, base_preset, err);
+    return !j.has("plugins") || pluginsFromJson(j["plugins"], cfg, err);
 }
 
 DRAMCtrlConfig
@@ -471,12 +285,23 @@ configToJson(const DRAMCtrlConfig &cfg, const std::string &preset_name)
     j.set("format", kFormat);
     if (!preset_name.empty())
         j.set("preset", preset_name);
-    j.set("organisation", orgToJson(cfg.org));
-    j.set("timing", timingToJson(cfg.timing));
-    j.set("controller", controllerToJson(cfg));
+    for (ConfigSection s : kObjectSections) {
+        Json sec = Json::object();
+        forEachField(cfg, [&](const ConfigField &f, const auto &v) {
+            if (f.section == s)
+                sec.set(f.key, fieldToJson(f, v));
+        });
+        j.set(toString(s), sec);
+    }
     Json plugins = Json::array();
-    for (const PluginSpec &ps : cfg.plugins)
-        plugins.push(pluginToJson(ps));
+    for (const PluginSpec &ps : cfg.plugins) {
+        Json row = Json::object();
+        forEachPluginField(ps, [&row](const ConfigField &f,
+                                      const auto &v) {
+            row.set(f.key, fieldToJson(f, v));
+        });
+        plugins.push(row);
+    }
     j.set("plugins", plugins);
     return j;
 }
@@ -496,12 +321,6 @@ writeConfigFile(const std::string &path, const DRAMCtrlConfig &cfg,
         return false;
     out << dumpConfig(cfg, preset_name);
     return static_cast<bool>(out);
-}
-
-std::uint64_t
-configFingerprint(const DRAMCtrlConfig &cfg)
-{
-    return ckpt::fnv1a(cfg.describe());
 }
 
 } // namespace harness

@@ -22,19 +22,25 @@
  * use, so a file transcribing a preset parses to a byte-identical
  * configuration.
  *
- * Parsing is strict: unknown keys, type mismatches, and malformed
- * JSON are hard errors with messages naming the offending key —
- * misspelling "tRCD" must not silently leave the default in place.
+ * The keys, sections and value kinds come from the config field
+ * table in dram/dram_config.hh; this file walks the table and names
+ * no field itself.
+ *
+ * Parsing is strict: unknown keys, type mismatches, numbers a field
+ * cannot hold (negative, fractional or out-of-range integers,
+ * negative or tick-overflowing durations) and malformed JSON are hard
+ * errors with messages naming the section and key — misspelling
+ * "tRCD" must not silently leave the default in place.
  *
  * dumpConfig() emits every knob; its output re-parses (with no preset
- * installed) to a configuration with an identical fingerprint, which
- * is how tools/tests prove round-trip fidelity.
+ * installed) to a configuration with an identical, exact
+ * configFingerprint(), and dumping that again gives the same text.
+ * Repro files (validate/repro.hh) embed the same document.
  */
 
 #ifndef DRAMCTRL_HARNESS_CONFIG_FILE_H
 #define DRAMCTRL_HARNESS_CONFIG_FILE_H
 
-#include <cstdint>
 #include <string>
 
 #include "dram/dram_config.hh"
@@ -54,6 +60,11 @@ namespace harness {
 bool parseConfigText(const std::string &text, DRAMCtrlConfig &cfg,
                      std::string *base_preset = nullptr,
                      std::string *err = nullptr);
+
+/** parseConfigText() for an already parsed JSON document @p j. */
+bool configFromJson(const validate::Json &j, DRAMCtrlConfig &cfg,
+                    std::string *base_preset = nullptr,
+                    std::string *err = nullptr);
 
 /**
  * Load a config file, fatal() on any error (missing file, malformed
@@ -79,13 +90,6 @@ std::string dumpConfig(const DRAMCtrlConfig &cfg,
 /** Write dumpConfig() to @p path; false on I/O failure. */
 bool writeConfigFile(const std::string &path, const DRAMCtrlConfig &cfg,
                      const std::string &preset_name = "");
-
-/**
- * Configuration identity hash: FNV-1a over cfg.describe(). Two configs
- * with equal fingerprints drive the controllers identically (the same
- * hash guards checkpoint restore as "cfgHash").
- */
-std::uint64_t configFingerprint(const DRAMCtrlConfig &cfg);
 
 } // namespace harness
 } // namespace dramctrl

@@ -53,6 +53,9 @@ class Json
     Type type() const { return type_; }
     bool isNull() const { return type_ == Type::Null; }
     bool isNumber() const { return type_ == Type::Number; }
+    /** True for a number written as a non-negative integer literal
+     *  that fits 64 bits (asUInt() then returns it exactly). */
+    bool isUInt() const { return type_ == Type::Number && isUInt_; }
     bool isObject() const { return type_ == Type::Object; }
     bool isArray() const { return type_ == Type::Array; }
 

@@ -4,9 +4,11 @@
  *
  * A repro file captures everything a failing differential run needs to
  * be replayed in a fresh process: the full controller configuration
- * (serialised knob by knob, so the file stays valid even if presets
- * drift), the stream parameters and seed, the — usually shrunk —
- * explicit request stream, the tolerances, and any injected fault.
+ * (the config document of harness/config_file.hh, every knob explicit,
+ * so the file stays valid even if presets drift), the stream
+ * parameters and seed, the — usually shrunk — explicit request
+ * stream, the tolerances, and any injected fault. The format is
+ * "dramctrl-fuzz-repro-v2"; other versions are rejected.
  * `fuzz_cli --repro file.json` and the validate_repro test target
  * replay them.
  */

@@ -404,12 +404,12 @@ makeSnapshot()
     return ckpt::saveToString(pre.tb->sim());
 }
 
-/** Restore @p snapshot into a fresh default system, expecting fatal(). */
+/** Restore @p snapshot into a fresh system of @p cfg, expecting fatal(). */
 std::string
 restoreExpectingFatal(const std::string &snapshot,
-                      const std::string &preset = "ddr3_1333")
+                      const DRAMCtrlConfig &cfg = presets::ddr3_1333())
 {
-    BuiltSystem post = buildSystem(presets::byName(preset), "random",
+    BuiltSystem post = buildSystem(cfg, "random",
                                    harness::CtrlModel::Event, 60,
                                    kRequests, kSeed);
     setThrowOnError(true);
@@ -456,8 +456,31 @@ TEST(CkptDamage, ckpt_config_mismatch_is_rejected)
 {
     // A ddr3_1333 snapshot must not restore into a ddr3_1600 system.
     const std::string good = makeSnapshot();
-    std::string msg = restoreExpectingFatal(good, "ddr3_1600");
+    std::string msg =
+        restoreExpectingFatal(good, presets::byName("ddr3_1600"));
     EXPECT_NE(msg.find("mismatch"), std::string::npos) << msg;
+}
+
+TEST(CkptDamage, ckpt_one_ps_trcd_change_is_rejected)
+{
+    // The config hash is exact: one tick of tRCD is a different config.
+    const std::string good = makeSnapshot();
+    DRAMCtrlConfig cfg = presets::ddr3_1333();
+    cfg.timing.tRCD += 1;
+    std::string msg = restoreExpectingFatal(good, cfg);
+    EXPECT_NE(msg.find("mismatch"), std::string::npos) << msg;
+}
+
+TEST(CkptDamage, ckpt_other_format_version_is_rejected)
+{
+    // Bytes 4..7 of the file header hold the format version.
+    std::string old = makeSnapshot();
+    old[4] = static_cast<char>(ckpt::kFormatVersion - 1);
+    std::string msg = restoreExpectingFatal(old);
+    EXPECT_NE(msg.find(std::to_string(ckpt::kFormatVersion - 1)),
+              std::string::npos) << msg;
+    EXPECT_NE(msg.find(std::to_string(ckpt::kFormatVersion)),
+              std::string::npos) << msg;
 }
 
 /** Every byte of the snapshot matters: flips anywhere never crash. */

@@ -9,8 +9,10 @@
  * round-trip across fuzzer-drawn configurations over every registered
  * preset, locks the committed examples/ddr4.json to the ddr4_2400
  * preset byte-for-byte, and checks that malformed inputs — unknown
- * keys, type mismatches, truncated files, bogus enum values — fail
- * with errors that name the offending section and key.
+ * keys, type mismatches, numbers a field cannot hold, truncated
+ * files, bogus enum values — fail with errors that name the offending
+ * section and key. The fingerprint is exact: moving any one field by
+ * its smallest step changes it.
  */
 
 #include <gtest/gtest.h>
@@ -23,12 +25,12 @@
 #include "harness/config_file.hh"
 #include "sim/logging.hh"
 #include "sim/random.hh"
+#include "test_util.hh"
 #include "validate/config_fuzzer.hh"
 
 namespace dramctrl {
 namespace {
 
-using harness::configFingerprint;
 using harness::dumpConfig;
 using harness::loadConfigFile;
 using harness::parseConfigText;
@@ -197,10 +199,72 @@ INSTANTIATE_TEST_SUITE_P(
         MalformedCase{"not_an_object", R"([1, 2, 3])", "object"},
         MalformedCase{"plugin_without_kind",
                       R"({"plugins": [{"pracThreshold": 4}]})",
-                      "kind"}),
+                      "kind"},
+        MalformedCase{"fractional_uint",
+                      R"({"controller": {"readBufferSize": 1.5}})",
+                      "controller: 'readBufferSize'"},
+        MalformedCase{"uint_beyond_32_bits",
+                      R"({"controller": {"writeBufferSize": 4294967360}})",
+                      "controller: 'writeBufferSize'"},
+        MalformedCase{"negative_uint",
+                      R"({"organisation": {"banksPerRank": -8}})",
+                      "organisation: 'banksPerRank'"},
+        MalformedCase{"u64_beyond_64_bits",
+                      R"({"organisation":
+                          {"channelCapacity": 18446744073709551616}})",
+                      "organisation: 'channelCapacity'"},
+        MalformedCase{"negative_duration",
+                      R"({"timing": {"tRCD": -1.0}})",
+                      "timing: 'tRCD'"},
+        MalformedCase{"tick_overflowing_duration",
+                      R"({"timing": {"tREFI": 2e16}})",
+                      "timing: 'tREFI'"},
+        MalformedCase{"fractional_priority",
+                      R"({"controller": {"requestorPriorities": [1, 2.5]}})",
+                      "controller: 'requestorPriorities'"},
+        MalformedCase{"negative_priority",
+                      R"({"controller": {"requestorPriorities": [-1]}})",
+                      "controller: 'requestorPriorities'"},
+        MalformedCase{"priority_beyond_32_bits",
+                      R"({"controller":
+                          {"requestorPriorities": [4294967296]}})",
+                      "controller: 'requestorPriorities'"},
+        MalformedCase{"fractional_plugin_uint",
+                      R"({"plugins": [{"kind": "ecc",
+                                       "eccDataBits": 64.5}]})",
+                      "plugins: 'eccDataBits'"}),
     [](const ::testing::TestParamInfo<MalformedCase> &info) {
         return info.param.name;
     });
+
+// ---------------------------------------------------------------
+// The fingerprint is exact.
+// ---------------------------------------------------------------
+
+TEST(ConfigFingerprint, EveryOneFieldStepChangesIt)
+{
+    DRAMCtrlConfig base = presets::byName("ddr3_1333");
+    base.plugins.emplace_back();
+    base.plugins.back().kind = "ecc";
+    const std::uint64_t want = configFingerprint(base);
+
+    const std::vector<testutil::FieldStep> steps =
+        testutil::everyFieldStep();
+    for (const testutil::FieldStep &step : steps) {
+        DRAMCtrlConfig cfg = base;
+        step.apply(cfg);
+        EXPECT_NE(configFingerprint(cfg), want)
+            << step.name << " moved by one step kept the fingerprint";
+    }
+
+    // The independent list covers as many fields as the table has
+    // rows, plus the chain length.
+    std::size_t rows = 0;
+    auto count = [&rows](const ConfigField &, const auto &) { ++rows; };
+    forEachField(base, count);
+    forEachPluginField(base.plugins[0], count);
+    EXPECT_EQ(steps.size(), rows + 1);
+}
 
 TEST(ConfigFile, MissingFileIsFatal)
 {

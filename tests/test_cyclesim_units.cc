@@ -68,10 +68,9 @@ TEST(CycleRankStateTest, TrrdGatesActivates)
 {
     CycleTiming ct(ddr3Timing());
     CycleRankState rank;
-    EXPECT_TRUE(rank.canActivate(0, ct));
+    EXPECT_EQ(rank.earliestActivate(ct), 0u);
     rank.recordActivate(0, ct);
-    EXPECT_FALSE(rank.canActivate(ct.tRRD - 1, ct));
-    EXPECT_TRUE(rank.canActivate(ct.tRRD, ct));
+    EXPECT_EQ(rank.earliestActivate(ct), ct.tRRD);
 }
 
 TEST(CycleRankStateTest, ActivationWindowGatesFifth)
@@ -80,13 +79,13 @@ TEST(CycleRankStateTest, ActivationWindowGatesFifth)
     CycleRankState rank;
     Cycle c = 0;
     for (unsigned i = 0; i < 4; ++i) {
-        EXPECT_TRUE(rank.canActivate(c, ct));
+        EXPECT_EQ(rank.earliestActivate(ct), c);
         rank.recordActivate(c, ct);
         c += ct.tRRD;
     }
     // Fifth activate: blocked until the window slides past the first.
-    EXPECT_FALSE(rank.canActivate(c, ct));
-    EXPECT_TRUE(rank.canActivate(ct.tXAW, ct));
+    ASSERT_GT(ct.tXAW, c);
+    EXPECT_EQ(rank.earliestActivate(ct), ct.tXAW);
 }
 
 TEST(CommandQueueTest, SpaceAccounting)

@@ -8,9 +8,12 @@
 #ifndef DRAMCTRL_TESTS_TEST_UTIL_H
 #define DRAMCTRL_TESTS_TEST_UTIL_H
 
+#include <cmath>
 #include <deque>
+#include <functional>
 #include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "dram/dram_presets.hh"
@@ -195,6 +198,167 @@ bareTimingConfig()
     cfg.frontendLatency = 0;
     cfg.backendLatency = 0;
     return cfg;
+}
+
+/** One config field and how to move it by its smallest step. */
+struct FieldStep
+{
+    const char *name;
+    std::function<void(DRAMCtrlConfig &)> apply;
+};
+
+namespace detail {
+
+inline void stepValue(unsigned &v) { ++v; }
+/** Integers and durations: +1, i.e. one tick for a duration. */
+inline void stepValue(std::uint64_t &v) { ++v; }
+inline void stepValue(double &v) { v = std::nextafter(v, HUGE_VAL); }
+inline void stepValue(bool &v) { v = !v; }
+inline void stepValue(std::vector<unsigned> &v) { v.push_back(1); }
+/** The plugin kind: the next kind. */
+inline void stepValue(std::string &v) { v = v == "ecc" ? "prac" : "ecc"; }
+
+inline void
+stepValue(AddrMapping &v)
+{
+    v = v == AddrMapping::RoCoRaBaCh
+            ? AddrMapping::RoRaBaCoCh
+            : static_cast<AddrMapping>(static_cast<int>(v) + 1);
+}
+
+inline void
+stepValue(PagePolicy &v)
+{
+    v = v == PagePolicy::ClosedAdaptive
+            ? PagePolicy::Open
+            : static_cast<PagePolicy>(static_cast<int>(v) + 1);
+}
+
+inline void
+stepValue(SchedPolicy &v)
+{
+    v = v == SchedPolicy::FrFcfsPrio
+            ? SchedPolicy::Fcfs
+            : static_cast<SchedPolicy>(static_cast<int>(v) + 1);
+}
+
+/** The struct in @p c that holds members of the tag's type. */
+inline DRAMOrg &
+fieldOwner(DRAMCtrlConfig &c, DRAMOrg *)
+{
+    return c.org;
+}
+
+inline DRAMTiming &
+fieldOwner(DRAMCtrlConfig &c, DRAMTiming *)
+{
+    return c.timing;
+}
+
+inline DRAMCtrlConfig &
+fieldOwner(DRAMCtrlConfig &c, DRAMCtrlConfig *)
+{
+    return c;
+}
+
+/** Plugin fields live in the first chain entry. */
+inline PluginSpec &
+fieldOwner(DRAMCtrlConfig &c, PluginSpec *)
+{
+    return c.plugins.at(0);
+}
+
+template <typename Owner, typename T>
+FieldStep
+fieldStep(const char *name, T Owner::*member)
+{
+    return {name, [member](DRAMCtrlConfig &c) {
+                stepValue(fieldOwner(c, static_cast<Owner *>(nullptr)).*
+                          member);
+            }};
+}
+
+} // namespace detail
+
+/**
+ * Every configuration field, listed here through member pointers and
+ * independently of the config field table in dram/dram_config.hh, each
+ * with its smallest step: +1 tick for durations, nextafter() for
+ * doubles, +1 for integers, a flip for bools, the next enumerator, one
+ * more priority entry. Plugin fields step cfg.plugins[0], so apply
+ * them to a config with a non-empty chain. The last entry adds one
+ * more plugin to the chain.
+ */
+inline std::vector<FieldStep>
+everyFieldStep()
+{
+#define DRAMCTRL_TEST_FIELD(owner, member)                              \
+    detail::fieldStep(#member, &owner::member)
+    return {
+        DRAMCTRL_TEST_FIELD(DRAMOrg, burstLength),
+        DRAMCTRL_TEST_FIELD(DRAMOrg, deviceBusWidth),
+        DRAMCTRL_TEST_FIELD(DRAMOrg, devicesPerRank),
+        DRAMCTRL_TEST_FIELD(DRAMOrg, ranksPerChannel),
+        DRAMCTRL_TEST_FIELD(DRAMOrg, banksPerRank),
+        DRAMCTRL_TEST_FIELD(DRAMOrg, bankGroupsPerRank),
+        DRAMCTRL_TEST_FIELD(DRAMOrg, pseudoChannels),
+        DRAMCTRL_TEST_FIELD(DRAMOrg, rowBufferSize),
+        DRAMCTRL_TEST_FIELD(DRAMOrg, channelCapacity),
+        DRAMCTRL_TEST_FIELD(DRAMTiming, tCK),
+        DRAMCTRL_TEST_FIELD(DRAMTiming, tBURST),
+        DRAMCTRL_TEST_FIELD(DRAMTiming, tRCD),
+        DRAMCTRL_TEST_FIELD(DRAMTiming, tCL),
+        DRAMCTRL_TEST_FIELD(DRAMTiming, tRP),
+        DRAMCTRL_TEST_FIELD(DRAMTiming, tRAS),
+        DRAMCTRL_TEST_FIELD(DRAMTiming, tWR),
+        DRAMCTRL_TEST_FIELD(DRAMTiming, tWTR),
+        DRAMCTRL_TEST_FIELD(DRAMTiming, tRTW),
+        DRAMCTRL_TEST_FIELD(DRAMTiming, tRRD),
+        DRAMCTRL_TEST_FIELD(DRAMTiming, tXAW),
+        DRAMCTRL_TEST_FIELD(DRAMTiming, tREFI),
+        DRAMCTRL_TEST_FIELD(DRAMTiming, tRFC),
+        DRAMCTRL_TEST_FIELD(DRAMTiming, activationLimit),
+        DRAMCTRL_TEST_FIELD(DRAMTiming, tCCD_L),
+        DRAMCTRL_TEST_FIELD(DRAMTiming, tCCD_S),
+        DRAMCTRL_TEST_FIELD(DRAMTiming, tRRD_L),
+        DRAMCTRL_TEST_FIELD(DRAMTiming, tRFCsb),
+        DRAMCTRL_TEST_FIELD(DRAMCtrlConfig, readBufferSize),
+        DRAMCTRL_TEST_FIELD(DRAMCtrlConfig, writeBufferSize),
+        DRAMCTRL_TEST_FIELD(DRAMCtrlConfig, writeHighThreshold),
+        DRAMCTRL_TEST_FIELD(DRAMCtrlConfig, writeLowThreshold),
+        DRAMCTRL_TEST_FIELD(DRAMCtrlConfig, minWritesPerSwitch),
+        DRAMCTRL_TEST_FIELD(DRAMCtrlConfig, schedPolicy),
+        DRAMCTRL_TEST_FIELD(DRAMCtrlConfig, addrMapping),
+        DRAMCTRL_TEST_FIELD(DRAMCtrlConfig, pagePolicy),
+        DRAMCTRL_TEST_FIELD(DRAMCtrlConfig, frontendLatency),
+        DRAMCTRL_TEST_FIELD(DRAMCtrlConfig, backendLatency),
+        DRAMCTRL_TEST_FIELD(DRAMCtrlConfig, maxAccessesPerRow),
+        DRAMCTRL_TEST_FIELD(DRAMCtrlConfig, enablePowerDown),
+        DRAMCTRL_TEST_FIELD(DRAMCtrlConfig, powerDownDelay),
+        DRAMCTRL_TEST_FIELD(DRAMCtrlConfig, tXP),
+        DRAMCTRL_TEST_FIELD(DRAMCtrlConfig, enableSelfRefresh),
+        DRAMCTRL_TEST_FIELD(DRAMCtrlConfig, selfRefreshDelay),
+        DRAMCTRL_TEST_FIELD(DRAMCtrlConfig, tXS),
+        DRAMCTRL_TEST_FIELD(DRAMCtrlConfig, requestorPriorities),
+        DRAMCTRL_TEST_FIELD(DRAMCtrlConfig, temperatureC),
+        DRAMCTRL_TEST_FIELD(DRAMCtrlConfig, perRankRefresh),
+        DRAMCTRL_TEST_FIELD(PluginSpec, kind),
+        DRAMCTRL_TEST_FIELD(PluginSpec, eccDataBits),
+        DRAMCTRL_TEST_FIELD(PluginSpec, eccCheckBits),
+        DRAMCTRL_TEST_FIELD(PluginSpec, eccCorrectBits),
+        DRAMCTRL_TEST_FIELD(PluginSpec, eccDetectBits),
+        DRAMCTRL_TEST_FIELD(PluginSpec, eccBer),
+        DRAMCTRL_TEST_FIELD(PluginSpec, eccSeed),
+        DRAMCTRL_TEST_FIELD(PluginSpec, pracThreshold),
+        DRAMCTRL_TEST_FIELD(PluginSpec, tRFM),
+        DRAMCTRL_TEST_FIELD(PluginSpec, tRFCpb),
+        {"plugins",
+         [](DRAMCtrlConfig &c) {
+             c.plugins.emplace_back();
+             c.plugins.back().kind = "refmgr";
+         }},
+    };
+#undef DRAMCTRL_TEST_FIELD
 }
 
 } // namespace testutil

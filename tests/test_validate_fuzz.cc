@@ -127,8 +127,41 @@ TEST(ValidateFuzz, ReproRoundTripsThroughJson)
     for (std::size_t i = 0; i < repro.stream.reqs.size(); ++i)
         EXPECT_EQ(back.stream.reqs[i], repro.stream.reqs[i]) << i;
 
+    EXPECT_EQ(configFingerprint(back.fc.cfg),
+              configFingerprint(repro.fc.cfg));
+
     // And the replayed repro still fails exactly as recorded.
     EXPECT_FALSE(replay(back).pass);
+
+    // A config with every field away from its default — durations off
+    // by one tick, doubles by one ulp — survives the trip exactly.
+    ReproFile full = repro;
+    full.fc.cfg = DRAMCtrlConfig();
+    full.fc.cfg.plugins.emplace_back();
+    full.fc.cfg.plugins.back().kind = "ecc";
+    for (const testutil::FieldStep &step : testutil::everyFieldStep())
+        step.apply(full.fc.cfg);
+    ASSERT_TRUE(parseJson(toJson(full).dump(2), parsed, &err)) << err;
+    ReproFile fullBack;
+    ASSERT_TRUE(fromJson(parsed, fullBack, &err)) << err;
+    EXPECT_EQ(configFingerprint(fullBack.fc.cfg),
+              configFingerprint(full.fc.cfg))
+        << full.fc.cfg.describe() << "\nvs\n"
+        << fullBack.fc.cfg.describe();
+}
+
+TEST(ValidateFuzz, ReproFormatV1IsRejected)
+{
+    Json parsed;
+    std::string err;
+    ASSERT_TRUE(parseJson(R"({"format": "dramctrl-fuzz-repro-v1"})",
+                          parsed, &err));
+    ReproFile back;
+    EXPECT_FALSE(fromJson(parsed, back, &err));
+    EXPECT_NE(err.find("dramctrl-fuzz-repro-v1"), std::string::npos)
+        << err;
+    EXPECT_NE(err.find("dramctrl-fuzz-repro-v2"), std::string::npos)
+        << err;
 }
 
 TEST(ValidateFuzz, OnlineCheckerMatchesBatchMode)

@@ -159,7 +159,7 @@ parseArgs(int argc, char **argv, SweepCliOptions &opt)
             spec.pages.clear();
             for (const std::string &s : splitCsv(need(i))) {
                 PagePolicy p;
-                if (!pagePolicyFromString(s, p))
+                if (!fromString(s, p))
                     fatal("unknown page policy '%s'", s.c_str());
                 spec.pages.push_back(p);
             }
@@ -167,7 +167,7 @@ parseArgs(int argc, char **argv, SweepCliOptions &opt)
             spec.mappings.clear();
             for (const std::string &s : splitCsv(need(i))) {
                 AddrMapping m;
-                if (!addrMappingFromString(s, m))
+                if (!fromString(s, m))
                     fatal("unknown mapping '%s'", s.c_str());
                 spec.mappings.push_back(m);
             }
