@@ -2,22 +2,15 @@
  * @file
  * Microbenchmark of the event-queue agenda itself: raw
  * schedule/service throughput, reschedule churn, and deschedule-heavy
- * mixes across agenda depths, for both agenda representations (the
- * intrusive binary heap and the calendar queue). This isolates the
- * agenda kernel from the DRAM model so agenda regressions show up
- * directly, and puts numbers behind the --eventq switch.
+ * mixes across agenda depths, for the intrusive binary heap. This
+ * isolates the agenda kernel from the DRAM model so agenda regressions
+ * show up directly.
  *
  * Usage: eventq_perf [--json FILE]
  *
  * With --json the results are also written as a JSON array (one object
  * per measurement: name, agenda, depth, ops, ops_per_sec,
  * host_seconds, sim_ticks) for the CI perf-smoke artifact.
- *
- * Note the workloads here concentrate events into a few thousand
- * ticks, which for the calendar agenda means a handful of buckets and
- * O(depth) inserts; the deepest calendar runs use fewer ops to keep
- * the benchmark bounded (ops_per_sec stays comparable — the weakness
- * is real and worth seeing).
  */
 
 #include <chrono>
@@ -44,19 +37,12 @@ struct NopEvent : Event
 struct Measurement
 {
     std::string name;
-    const char *agenda;
     std::size_t depth;
     std::uint64_t ops;
     double hostSeconds;
     double opsPerSec;
     Tick simTicks;
 };
-
-const char *
-agendaName(AgendaKind kind)
-{
-    return kind == AgendaKind::Heap ? "heap" : "calendar";
-}
 
 using Clock = std::chrono::steady_clock;
 
@@ -100,10 +86,9 @@ struct SelfSchedulingEvent : Event
  * future, like a simulator in flight.
  */
 Measurement
-benchServiceSchedule(AgendaKind kind, std::size_t depth,
-                     std::uint64_t ops)
+benchServiceSchedule(std::size_t depth, std::uint64_t ops)
 {
-    EventQueue eq(kind);
+    EventQueue eq;
     std::mt19937 rng(42);
     std::vector<std::unique_ptr<SelfSchedulingEvent>> events;
     for (std::size_t i = 0; i < depth; ++i) {
@@ -118,15 +103,15 @@ benchServiceSchedule(AgendaKind kind, std::size_t depth,
     double secs = secondsSince(t0);
     Tick end = eq.curTick();
     drain(eq, events);
-    return {"service_schedule", agendaName(kind), depth, ops, secs,
+    return {"service_schedule", depth, ops, secs,
             static_cast<double>(ops) / secs, end};
 }
 
 /** Pure reschedule churn: move random pending events, never service. */
 Measurement
-benchReschedule(AgendaKind kind, std::size_t depth, std::uint64_t ops)
+benchReschedule(std::size_t depth, std::uint64_t ops)
 {
-    EventQueue eq(kind);
+    EventQueue eq;
     std::vector<std::unique_ptr<NopEvent>> events;
     std::mt19937 rng(43);
     for (std::size_t i = 0; i < depth; ++i) {
@@ -140,16 +125,15 @@ benchReschedule(AgendaKind kind, std::size_t depth, std::uint64_t ops)
     double secs = secondsSince(t0);
     Tick end = eq.curTick();
     drain(eq, events);
-    return {"reschedule", agendaName(kind), depth, ops, secs,
+    return {"reschedule", depth, ops, secs,
             static_cast<double>(ops) / secs, end};
 }
 
 /** Schedule/deschedule pairs: the controller's cancel-heavy pattern. */
 Measurement
-benchScheduleDeschedule(AgendaKind kind, std::size_t depth,
-                        std::uint64_t ops)
+benchScheduleDeschedule(std::size_t depth, std::uint64_t ops)
 {
-    EventQueue eq(kind);
+    EventQueue eq;
     std::vector<std::unique_ptr<NopEvent>> events;
     std::mt19937 rng(44);
     // Half the population stays pending as background load.
@@ -170,7 +154,7 @@ benchScheduleDeschedule(AgendaKind kind, std::size_t depth,
     double secs = secondsSince(t0);
     Tick end = eq.curTick();
     drain(eq, events);
-    return {"schedule_deschedule", agendaName(kind), depth, ops, secs,
+    return {"schedule_deschedule", depth, ops, secs,
             static_cast<double>(ops) / secs, end};
 }
 
@@ -186,11 +170,10 @@ writeJson(const char *path, const std::vector<Measurement> &rows)
     for (std::size_t i = 0; i < rows.size(); ++i) {
         const Measurement &m = rows[i];
         std::fprintf(f,
-                     "  {\"name\": \"%s\", \"agenda\": \"%s\", "
-                     "\"depth\": %zu, "
+                     "  {\"name\": \"%s\", \"depth\": %zu, "
                      "\"ops\": %llu, \"ops_per_sec\": %.0f, "
                      "\"host_seconds\": %.6f, \"sim_ticks\": %llu}%s\n",
-                     m.name.c_str(), m.agenda, m.depth,
+                     m.name.c_str(), m.depth,
                      static_cast<unsigned long long>(m.ops), m.opsPerSec,
                      m.hostSeconds,
                      static_cast<unsigned long long>(m.simTicks),
@@ -214,30 +197,19 @@ main(int argc, char **argv)
     const std::size_t kDepths[] = {16, 256, 4096, 65536};
     const std::uint64_t kOps = 2'000'000;
 
-    std::printf("eventq_perf: agenda microbenchmark "
-                "(heap vs calendar)\n");
-    std::printf("%-20s %-9s %8s %12s %10s\n", "benchmark", "agenda",
-                "depth", "ops/sec", "host_s");
+    std::printf("eventq_perf: agenda microbenchmark (binary heap)\n");
+    std::printf("%-20s %8s %12s %10s\n", "benchmark", "depth",
+                "ops/sec", "host_s");
 
     std::vector<Measurement> rows;
-    for (AgendaKind kind : {AgendaKind::Heap, AgendaKind::Calendar}) {
-        for (std::size_t depth : kDepths) {
-            // These workloads pack the agenda into a few calendar
-            // buckets, so calendar inserts go O(depth); trim ops at
-            // the deep points to keep the run bounded.
-            std::uint64_t ops = kOps;
-            if (kind == AgendaKind::Calendar && depth >= 65536)
-                ops = kOps / 200;
-            else if (kind == AgendaKind::Calendar && depth >= 4096)
-                ops = kOps / 20;
-            rows.push_back(benchServiceSchedule(kind, depth, ops));
-            rows.push_back(benchReschedule(kind, depth, ops));
-            rows.push_back(benchScheduleDeschedule(kind, depth, ops));
-        }
+    for (std::size_t depth : kDepths) {
+        rows.push_back(benchServiceSchedule(depth, kOps));
+        rows.push_back(benchReschedule(depth, kOps));
+        rows.push_back(benchScheduleDeschedule(depth, kOps));
     }
     for (const Measurement &m : rows)
-        std::printf("%-20s %-9s %8zu %12.0f %10.4f\n", m.name.c_str(),
-                    m.agenda, m.depth, m.opsPerSec, m.hostSeconds);
+        std::printf("%-20s %8zu %12.0f %10.4f\n", m.name.c_str(),
+                    m.depth, m.opsPerSec, m.hostSeconds);
 
     if (json_path != nullptr)
         writeJson(json_path, rows);

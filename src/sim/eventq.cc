@@ -1,6 +1,5 @@
 #include "sim/eventq.hh"
 
-#include <algorithm>
 #include <chrono>
 
 #include "obs/trace.hh"
@@ -8,31 +7,9 @@
 
 namespace dramctrl {
 
-namespace {
-
-/** Process-wide default agenda; set once at startup (see the CLI). */
-AgendaKind defaultAgenda_ = AgendaKind::Heap;
-
-} // namespace
-
-AgendaKind
-EventQueue::defaultAgenda()
+EventQueue::EventQueue()
 {
-    return defaultAgenda_;
-}
-
-void
-EventQueue::setDefaultAgenda(AgendaKind kind)
-{
-    defaultAgenda_ = kind;
-}
-
-EventQueue::EventQueue(AgendaKind kind) : kind_(kind)
-{
-    if (kind_ == AgendaKind::Heap)
-        heap_.reserve(64);
-    else
-        buckets_.resize(kCalBuckets);
+    heap_.reserve(64);
     registerTickSource(this);
 }
 
@@ -94,81 +71,6 @@ EventQueue::removeAt(std::size_t slot)
 }
 
 void
-EventQueue::calReindex(std::size_t b, std::size_t from)
-{
-    std::vector<Event *> &bucket = buckets_[b];
-    for (std::size_t pos = from; pos < bucket.size(); ++pos)
-        bucket[pos]->heapSlot_ = (b << 32) | pos;
-}
-
-void
-EventQueue::calInsert(Event &ev)
-{
-    const std::size_t b = calBucketOf(ev.when_);
-    std::vector<Event *> &bucket = buckets_[b];
-    auto it = std::upper_bound(
-        bucket.begin(), bucket.end(), &ev,
-        [](const Event *a, const Event *e) { return before(a, e); });
-    std::size_t pos = static_cast<std::size_t>(it - bucket.begin());
-    bucket.insert(it, &ev);
-    calReindex(b, pos);
-    // A null cache means "unknown", not "empty" — an earlier event may
-    // still be pending, so only improve a known minimum.
-    if (calMin_ != nullptr && before(&ev, calMin_))
-        calMin_ = &ev;
-}
-
-void
-EventQueue::calRemove(Event &ev)
-{
-    const std::size_t b = ev.heapSlot_ >> 32;
-    const std::size_t pos = ev.heapSlot_ & 0xffffffffu;
-    std::vector<Event *> &bucket = buckets_[b];
-    bucket.erase(bucket.begin() + static_cast<std::ptrdiff_t>(pos));
-    calReindex(b, pos);
-    if (calMin_ == &ev)
-        calMin_ = nullptr; // lazily re-found by calFindMin()
-}
-
-Event *
-EventQueue::calFindMin() const
-{
-    if (calMin_ != nullptr)
-        return calMin_;
-    if (size_ == 0)
-        return nullptr;
-
-    // Walk one wheel revolution starting at the bucket of now. Every
-    // pending event is at when >= curTick, so the first bucket head
-    // that falls inside its own revolution window is the global
-    // minimum: earlier-visited buckets held only heads at least a full
-    // revolution out, later buckets hold only later windows, and the
-    // bucket itself is sorted.
-    const std::uint64_t start =
-        static_cast<std::uint64_t>(curTick_) >> kCalShift;
-    Event *far_best = nullptr;
-    for (std::size_t i = 0; i < kCalBuckets; ++i) {
-        const std::uint64_t num = start + i;
-        const std::vector<Event *> &bucket =
-            buckets_[num & (kCalBuckets - 1)];
-        if (bucket.empty())
-            continue;
-        Event *head = bucket.front();
-        if ((static_cast<std::uint64_t>(head->when_) >> kCalShift) ==
-            num) {
-            calMin_ = head;
-            return head;
-        }
-        if (far_best == nullptr || before(head, far_best))
-            far_best = head;
-    }
-    // Everything is at least one revolution ahead; the minimum is the
-    // best bucket head.
-    calMin_ = far_best;
-    return far_best;
-}
-
-void
 EventQueue::schedule(Event &ev, Tick when)
 {
     if (ev.scheduled_)
@@ -183,13 +85,8 @@ EventQueue::schedule(Event &ev, Tick when)
     ev.when_ = when;
     ev.seq_ = nextSeq_++;
     ev.scheduled_ = true;
-    ++size_;
-    if (kind_ == AgendaKind::Heap) {
-        heap_.push_back(&ev);
-        siftUp(heap_.size() - 1);
-    } else {
-        calInsert(ev);
-    }
+    heap_.push_back(&ev);
+    siftUp(heap_.size() - 1);
 }
 
 void
@@ -197,13 +94,9 @@ EventQueue::deschedule(Event &ev)
 {
     if (!ev.scheduled_)
         panic("deschedule of unscheduled event '%s'", ev.name().c_str());
-    if (kind_ == AgendaKind::Heap)
-        removeAt(ev.heapSlot_);
-    else
-        calRemove(ev);
+    removeAt(ev.heapSlot_);
     ev.heapSlot_ = Event::kNoSlot;
     ev.scheduled_ = false;
-    --size_;
 }
 
 void
@@ -218,21 +111,13 @@ EventQueue::reschedule(Event &ev, Tick when)
               ev.name().c_str(), static_cast<unsigned long long>(when),
               static_cast<unsigned long long>(curTick_));
 
-    if (kind_ == AgendaKind::Heap) {
-        // In place: take a fresh sequence number (a reschedule joins
-        // the back of its new tick/priority class, like
-        // deschedule+schedule always did) and sift from the current
-        // slot.
-        ev.when_ = when;
-        ev.seq_ = nextSeq_++;
-        siftDown(ev.heapSlot_);
-        siftUp(ev.heapSlot_);
-    } else {
-        calRemove(ev);
-        ev.when_ = when;
-        ev.seq_ = nextSeq_++;
-        calInsert(ev);
-    }
+    // In place: take a fresh sequence number (a reschedule joins the
+    // back of its new tick/priority class, like deschedule+schedule
+    // always did) and sift from the current slot.
+    ev.when_ = when;
+    ev.seq_ = nextSeq_++;
+    siftDown(ev.heapSlot_);
+    siftUp(ev.heapSlot_);
 }
 
 std::uint64_t
@@ -241,25 +126,18 @@ EventQueue::orderOf(const Event &ev) const
     if (!ev.scheduled_)
         panic("orderOf() on unscheduled event '%s'", ev.name().c_str());
     std::uint64_t rank = 0;
-    if (kind_ == AgendaKind::Heap) {
-        for (const Event *other : heap_)
-            if (other != &ev && before(other, &ev))
-                ++rank;
-    } else {
-        for (const std::vector<Event *> &bucket : buckets_)
-            for (const Event *other : bucket)
-                if (other != &ev && before(other, &ev))
-                    ++rank;
-    }
+    for (const Event *other : heap_)
+        if (other != &ev && before(other, &ev))
+            ++rank;
     return rank;
 }
 
 void
 EventQueue::restoreState(Tick when, std::uint64_t num_serviced)
 {
-    if (size_ != 0)
+    if (!heap_.empty())
         panic("EventQueue::restoreState() with %zu events pending",
-              size_);
+              heap_.size());
     curTick_ = when;
     numServiced_ = num_serviced;
 }
@@ -267,34 +145,24 @@ EventQueue::restoreState(Tick when, std::uint64_t num_serviced)
 Tick
 EventQueue::nextTick() const
 {
-    if (kind_ == AgendaKind::Heap)
-        return heap_.empty() ? kMaxTick : heap_.front()->when_;
-    const Event *head = calFindMin();
-    return head == nullptr ? kMaxTick : head->when_;
+    return heap_.empty() ? kMaxTick : heap_.front()->when_;
 }
 
 void
 EventQueue::serviceOne()
 {
-    if (size_ == 0)
+    if (heap_.empty())
         panic("serviceOne() on an empty event queue");
 
-    Event *ev;
-    if (kind_ == AgendaKind::Heap) {
-        ev = heap_.front();
-        removeAt(0);
-    } else {
-        ev = calFindMin();
-        calRemove(*ev);
-    }
+    Event *ev = heap_.front();
+    removeAt(0);
     ev->heapSlot_ = Event::kNoSlot;
     ev->scheduled_ = false;
-    --size_;
     curTick_ = ev->when_;
     ++numServiced_;
 
     TRACE(EventQ, "service '%s' (%zu pending)", ev->name().c_str(),
-          size_);
+          heap_.size());
 
     if (profiler_ != nullptr) {
         auto t0 = std::chrono::steady_clock::now();
@@ -310,7 +178,7 @@ EventQueue::serviceOne()
 Tick
 EventQueue::simulate(Tick until)
 {
-    while (size_ != 0 && nextTick() <= until)
+    while (!heap_.empty() && heap_.front()->when_ <= until)
         serviceOne();
 
     // Advance to the horizon so that callers measuring elapsed simulated

@@ -29,20 +29,6 @@ class EventQueueProfiler
 };
 
 /**
- * Agenda representation selector (see docs/PERFORMANCE.md).
- *
- * Heap is the default: an intrusive binary min-heap, O(log n)
- * everywhere, and the fastest choice at the agenda sizes a single
- * controller produces. Calendar is a classic calendar queue (a
- * time wheel of sorted buckets with per-revolution overflow), O(1)
- * amortised for the near-future traffic DRAM models generate; it is
- * selectable per process for measurement (bench/eventq_perf) and for
- * very large agendas. Both orderings are exactly (when, priority,
- * seq), so simulation results are byte-identical either way.
- */
-enum class AgendaKind { Heap, Calendar };
-
-/**
  * A discrete-event agenda.
  *
  * The queue owns simulated time: curTick() only advances when an event is
@@ -50,39 +36,20 @@ enum class AgendaKind { Heap, Calendar };
  * owned by the queue; the scheduling model object keeps them as members,
  * which is safe because an object never outlives its own events.
  *
- * The default agenda is an intrusive binary min-heap over a contiguous
+ * The agenda is an intrusive binary min-heap over a contiguous
  * vector: each Event carries its own slot, so schedule, deschedule and
  * reschedule are all O(log n) sift operations with no per-operation
  * allocation (the backing vector only grows to the agenda's high-water
  * mark). Ordering is (when, priority, seq): two events at the same tick
  * and priority run in schedule order, and rescheduling re-enters the
  * event at the back of its tick/priority class, exactly as the previous
- * tree-based agenda behaved. The alternative calendar agenda (see
- * AgendaKind) keeps the identical ordering contract with a different
- * cost profile.
+ * tree-based agenda behaved.
  */
 class EventQueue
 {
   public:
-    /**
-     * Registers the queue as its thread's tick source (logging.hh).
-     * The agenda kind is fixed at construction; it defaults to the
-     * process-wide default (see setDefaultAgenda).
-     */
-    explicit EventQueue(AgendaKind kind = defaultAgenda());
-
-    /** Agenda used by queues constructed without an explicit kind. */
-    static AgendaKind defaultAgenda();
-
-    /**
-     * Set the process-wide default agenda. Call before building any
-     * simulator (existing queues keep their kind); the CLI's --eventq
-     * flag maps straight onto this.
-     */
-    static void setDefaultAgenda(AgendaKind kind);
-
-    /** This queue's agenda representation. */
-    AgendaKind agenda() const { return kind_; }
+    /** Registers the queue as its thread's tick source (logging.hh). */
+    EventQueue();
 
     /** Unregisters, so a dead queue is never left in the registry. */
     ~EventQueue();
@@ -106,10 +73,10 @@ class EventQueue
     Tick curTick() const { return curTick_; }
 
     /** @return true when no events are pending. */
-    bool empty() const { return size_ == 0; }
+    bool empty() const { return heap_.empty(); }
 
     /** Number of pending events. */
-    std::size_t size() const { return size_; }
+    std::size_t size() const { return heap_.size(); }
 
     /** Tick of the earliest pending event; kMaxTick when empty. */
     Tick nextTick() const;
@@ -177,38 +144,7 @@ class EventQueue
     /** Detach heap_[slot], refilling the hole from the heap's back. */
     void removeAt(std::size_t slot);
 
-    /**
-     * Calendar agenda. The wheel has kCalBuckets sorted buckets of
-     * 2^kCalShift ticks each; an event lives in bucket
-     * (when >> kCalShift) mod kCalBuckets whatever its revolution, so
-     * far-future events need no separate overflow structure. An
-     * event's slot encodes (bucket << 32) | position. The head of the
-     * agenda is found by walking one revolution from the bucket of
-     * curTick and falling back to a head-of-bucket scan (events more
-     * than a revolution out); calMin_ caches the result until a
-     * mutation invalidates it.
-     */
-    static constexpr unsigned kCalShift = 12;    // 4096 ticks ~ 4.1 ns
-    static constexpr std::size_t kCalBuckets = 256;
-
-    static std::size_t calBucketOf(Tick when)
-    {
-        return static_cast<std::size_t>(when >> kCalShift) &
-               (kCalBuckets - 1);
-    }
-
-    void calInsert(Event &ev);
-    void calRemove(Event &ev);
-    /** Global minimum of the calendar agenda; null when empty. */
-    Event *calFindMin() const;
-    /** Rewrite the cached slots of bucket @p b from @p from on. */
-    void calReindex(std::size_t b, std::size_t from);
-
-    AgendaKind kind_;
     std::vector<Event *> heap_;
-    std::vector<std::vector<Event *>> buckets_;
-    mutable Event *calMin_ = nullptr;
-    std::size_t size_ = 0;
     Tick curTick_ = 0;
     std::uint64_t nextSeq_ = 0;
     std::uint64_t numServiced_ = 0;

@@ -260,125 +260,5 @@ TEST_F(EventQueueTest, SimObjectSchedulesOnSharedQueue)
     EXPECT_EQ(obj.fired, 77u);
 }
 
-// The calendar agenda promises the identical (when, priority, seq)
-// ordering contract as the heap; these tests drive both kinds through
-// the same operation sequences and demand identical service orders.
-
-using CalendarAgendaTest = ThrowOnError;
-
-TEST_F(CalendarAgendaTest, BasicOrderingAcrossBuckets)
-{
-    EventQueue eq(AgendaKind::Calendar);
-    std::vector<int> order;
-    // Spread across several buckets (4096 ticks each), one far out
-    // (beyond a 256-bucket revolution) and two in the same bucket.
-    EventFunctionWrapper far([&] { order.push_back(4); }, "far");
-    EventFunctionWrapper a([&] { order.push_back(1); }, "a");
-    EventFunctionWrapper b([&] { order.push_back(2); }, "b");
-    EventFunctionWrapper c([&] { order.push_back(3); }, "c");
-    eq.schedule(far, 5'000'000);
-    eq.schedule(c, 9000);
-    eq.schedule(a, 100);
-    eq.schedule(b, 150);
-    EXPECT_EQ(eq.nextTick(), 100u);
-    EXPECT_EQ(eq.size(), 4u);
-    eq.simulate();
-    EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
-    EXPECT_EQ(eq.curTick(), 5'000'000u);
-}
-
-TEST_F(CalendarAgendaTest, SameTickPriorityThenFifo)
-{
-    EventQueue eq(AgendaKind::Calendar);
-    std::vector<int> order;
-    EventFunctionWrapper low([&] { order.push_back(3); }, "low",
-                             Event::kStatsPriority);
-    EventFunctionWrapper first([&] { order.push_back(1); }, "first");
-    EventFunctionWrapper second([&] { order.push_back(2); }, "second");
-    eq.schedule(low, 50);
-    eq.schedule(first, 50);
-    eq.schedule(second, 50);
-    eq.simulate();
-    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-}
-
-TEST_F(CalendarAgendaTest, DescheduleAndReschedule)
-{
-    EventQueue eq(AgendaKind::Calendar);
-    std::vector<int> order;
-    EventFunctionWrapper a([&] { order.push_back(1); }, "a");
-    EventFunctionWrapper b([&] { order.push_back(2); }, "b");
-    eq.schedule(a, 100);
-    eq.schedule(b, 200);
-    eq.deschedule(a);
-    EXPECT_FALSE(a.scheduled());
-    EXPECT_EQ(eq.nextTick(), 200u);
-    eq.reschedule(b, 400'000); // different bucket
-    eq.schedule(a, 300);
-    eq.simulate();
-    EXPECT_EQ(order, (std::vector<int>{1, 2}));
-    EXPECT_EQ(eq.numEventsServiced(), 2u);
-}
-
-/** Heap and calendar service randomised agendas identically. */
-TEST_F(CalendarAgendaTest, MatchesHeapOnRandomisedWorkload)
-{
-    // A deterministic LCG drives identical operation sequences into
-    // both queues; every service step must agree on the event index.
-    std::uint64_t lcg = 12345;
-    auto rnd = [&lcg](std::uint64_t bound) {
-        lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
-        return (lcg >> 33) % bound;
-    };
-
-    EventQueue heap(AgendaKind::Heap);
-    EventQueue cal(AgendaKind::Calendar);
-    std::vector<int> heapOrder, calOrder;
-
-    constexpr int kEvents = 64;
-    std::vector<std::unique_ptr<EventFunctionWrapper>> hev, cev;
-    for (int i = 0; i < kEvents; ++i) {
-        hev.push_back(std::make_unique<EventFunctionWrapper>(
-            [&heapOrder, i] { heapOrder.push_back(i); },
-            "h" + std::to_string(i)));
-        cev.push_back(std::make_unique<EventFunctionWrapper>(
-            [&calOrder, i] { calOrder.push_back(i); },
-            "c" + std::to_string(i)));
-    }
-
-    // Random schedule / deschedule / reschedule churn, mirrored.
-    for (int step = 0; step < 2000; ++step) {
-        int i = static_cast<int>(rnd(kEvents));
-        Tick now = heap.curTick();
-        std::uint64_t op = rnd(10);
-        if (op < 6) {
-            if (!hev[i]->scheduled()) {
-                Tick when = now + 1 + rnd(3'000'000);
-                heap.schedule(*hev[i], when);
-                cal.schedule(*cev[i], when);
-            }
-        } else if (op < 8) {
-            if (hev[i]->scheduled()) {
-                heap.deschedule(*hev[i]);
-                cal.deschedule(*cev[i]);
-            }
-        } else if (op < 9) {
-            Tick when = now + 1 + rnd(500'000);
-            heap.reschedule(*hev[i], when);
-            cal.reschedule(*cev[i], when);
-        } else if (!heap.empty()) {
-            heap.serviceOne();
-            cal.serviceOne();
-            ASSERT_EQ(heap.curTick(), cal.curTick());
-        }
-        ASSERT_EQ(heap.size(), cal.size());
-        ASSERT_EQ(heap.nextTick(), cal.nextTick());
-    }
-    heap.simulate();
-    cal.simulate();
-    EXPECT_EQ(heapOrder, calOrder);
-    EXPECT_EQ(heap.numEventsServiced(), cal.numEventsServiced());
-}
-
 } // namespace
 } // namespace dramctrl

@@ -22,11 +22,12 @@
  */
 
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "ckpt/ckpt.hh"
 #include "dram/cmd_log.hh"
@@ -35,6 +36,7 @@
 #include "dram/dram_presets.hh"
 #include "dram/plugin/plugin.hh"
 #include "dram/protocol_checker.hh"
+#include "harness/cli_options.hh"
 #include "harness/config_file.hh"
 #include "harness/multichannel.hh"
 #include "harness/testbench.hh"
@@ -45,7 +47,6 @@
 #include "obs/stats_sampler.hh"
 #include "obs/trace.hh"
 #include "power/micron_power.hh"
-#include "sim/eventq.hh"
 #include "sim/logging.hh"
 #include "trafficgen/dram_gen.hh"
 #include "trafficgen/linear_gen.hh"
@@ -65,10 +66,9 @@ struct CliOptions
                                 // stdout) and exit
     std::string pattern = "random"; // linear | random | dram | trace
     std::string model = "event";    // event | cycle
-    std::string eventq = "heap";    // heap | calendar
-    std::string page;               // open | open_adaptive | ...
-    std::string mapping;            // RoRaBaCoCh | ...
-    std::string sched;              // fcfs | frfcfs
+    std::optional<PagePolicy> page;
+    std::optional<AddrMapping> mapping;
+    std::optional<SchedPolicy> sched;
     bool tempExplicit = false;
     unsigned readPct = 100;
     double ittNs = 6.0;
@@ -116,231 +116,151 @@ struct CliOptions
     std::string ckptJson;       // dump a checkpoint as JSON and exit
 };
 
-void
-usage(const char *prog)
+std::vector<cli::Option>
+optionTable(CliOptions &opt)
 {
-    std::printf(
-        "usage: %s [options]\n"
-        "  --preset NAME      ddr3_1333|ddr3_1600|lpddr3_1600|"
-        "wideio_200|\n"
-        "                     hmc_vault|ddr4_2400|lpddr4_3200|hbm2,\n"
-        "                     or a system preset: hmc_stack_16|"
-        "hmc_stack_64|\n"
-        "                     hmc_stack_256|hbm2_stack_4|hbm2_stack_8\n"
-        "                     (implies --channels)\n"
-        "  --config PATH      load a declarative JSON config file "
-        "(see\n"
-        "                     docs/STANDARDS.md; mutually exclusive "
-        "with\n"
-        "                     --preset)\n"
-        "  --dump-config P    write the resolved configuration as a\n"
-        "                     config file to P ('-' = stdout) and "
-        "exit\n"
-        "  --pattern NAME     linear|random|dram (DRAM-aware)|trace\n"
-        "                     (replay --trace-in)\n"
-        "  --model NAME       event|cycle\n"
-        "  --eventq NAME      heap|calendar agenda (identical "
-        "results,\n"
-        "                     different cost profile; see "
-        "bench/eventq_perf)\n"
-        "  --page POLICY      open|open_adaptive|closed|"
-        "closed_adaptive\n"
-        "  --mapping NAME     RoRaBaCoCh|RoRaBaChCo|RoCoRaBaCh\n"
-        "  --sched NAME       fcfs|frfcfs\n"
-        "  --read-pct N       percentage of reads (default 100)\n"
-        "  --itt-ns F         inter-transaction time (default 6)\n"
-        "  --requests N       requests to simulate (default 20000)\n"
-        "  --stride BYTES     dram pattern stride (default 256)\n"
-        "  --banks N          dram pattern banks (default 4)\n"
-        "  --temperature C    device temperature (default 85)\n"
-        "  --power-down       enable the power-down extension\n"
-        "  --plugins LIST     controller plugin chain (csv of ecc|"
-        "prac|\n"
-        "                     refmgr|refmgr-pb; see docs/PLUGINS.md)\n"
-        "  --ecc-ber F        raw bit error rate for the ecc plugin\n"
-        "  --ecc-seed N       error-injection seed for the ecc plugin\n"
-        "  --prac-threshold N activation threshold for the prac "
-        "plugin\n"
-        "  --audit            log commands and run the JEDEC checker\n"
-        "  --json             dump the full stats tree as JSON\n"
-        "  --seed N           RNG seed (default 1)\n"
-        "  --runs N           repeat with seeds derived from (seed, "
-        "run\n"
-        "                     index), one summary row per run\n"
-        "  --jobs M           concurrent runs in batch mode "
-        "(default 1;\n"
-        "                     0 = one per core); output is identical "
-        "for\n"
-        "                     every value\n"
-        "trace replay/capture (see docs/TRACES.md):\n"
-        "  --trace-in PATH    stimulus file for --pattern trace; text "
-        "or\n"
-        "                     binary .dtrc, detected by content\n"
-        "  --trace-capture P  record the accepted request stream to P\n"
-        "                     (.txt => text, anything else => .dtrc "
-        "binary;\n"
-        "                     with --runs, P is a prefix: one\n"
-        "                     '<P><run>.dtrc' file per run)\n"
-        "  --trace-scale F    stretch (>1) or compress (<1) replayed\n"
-        "                     inter-request gaps (default 1.0)\n"
-        "multi-channel:\n"
-        "  --channels N       simulate N interleaved channels behind "
-        "the\n"
-        "                     sharded crossbar, one generator per "
-        "channel\n"
-        "                     (--requests is the total across "
-        "channels)\n"
-        "  --sim-threads N    worker threads for one multi-channel "
-        "run\n"
-        "                     (default 1; 0 = one per core); stats "
-        "are\n"
-        "                     byte-identical for every value\n"
-        "observability:\n"
-        "  --trace LIST       enable trace channels (csv or 'all')\n"
-        "  --trace-file PATH  tick-stamped text trace to PATH "
-        "(default stderr)\n"
-        "  --trace-jsonl PATH JSONL trace to PATH\n"
-        "  --trace-chrome PATH  Chrome trace-event JSON (packet spans\n"
-        "                     + DRAM commands; open in Perfetto)\n"
-        "  --sample-interval NS  sample stats every NS ns of sim time\n"
-        "  --sample-file PATH    time series target "
-        "(default samples.csv)\n"
-        "  --sample-format F     csv|jsonl (default csv)\n"
-        "  --sample-stats LIST   csv of stat paths "
-        "(default controller set)\n"
-        "  --profile-events   count and time events per type\n"
-        "  --metrics-listen SPEC  serve live metrics while running: a\n"
-        "                     Unix socket path (contains '/') or a\n"
-        "                     loopback TCP port (0 = ephemeral);\n"
-        "                     Prometheus text by default, /json for "
-        "JSON\n"
-        "  --metrics-interval NS  publish cadence in ns "
-        "(default 1000)\n"
-        "checkpointing:\n"
-        "  --ckpt-at NS       simulate to NS ns, save a checkpoint, "
-        "stop\n"
-        "  --ckpt-out PATH    checkpoint target (default ckpt.bin)\n"
-        "  --ckpt-restore P   restore checkpoint P (same config "
-        "flags!)\n"
-        "                     before simulating to completion\n"
-        "  --ckpt-json PATH   print checkpoint PATH as JSON and exit\n",
-        prog);
-}
-
-bool
-parseArgs(int argc, char **argv, CliOptions &opt)
-{
-    auto need = [&](int &i) -> const char * {
-        if (i + 1 >= argc)
-            fatal("missing value for %s", argv[i]);
-        return argv[++i];
+    using cli::section;
+    using cli::threads;
+    using cli::toggle;
+    using cli::value;
+    return {
+        value("--preset", "NAME",
+              "ddr3_1333|ddr3_1600|lpddr3_1600|wideio_200|\n"
+              "hmc_vault|ddr4_2400|lpddr4_3200|hbm2,\n"
+              "or a system preset: hmc_stack_16|hmc_stack_64|\n"
+              "hmc_stack_256|hbm2_stack_4|hbm2_stack_8\n"
+              "(implies --channels)",
+              opt.preset, &opt.presetExplicit),
+        value("--config", "PATH",
+              "load a declarative JSON config file (see\n"
+              "docs/STANDARDS.md; mutually exclusive with\n"
+              "--preset)",
+              opt.configFile),
+        value("--dump-config", "P",
+              "write the resolved configuration as a\n"
+              "config file to P ('-' = stdout) and exit",
+              opt.dumpConfig),
+        value("--pattern", "NAME",
+              "linear|random|dram (DRAM-aware)|trace\n"
+              "(replay --trace-in)",
+              opt.pattern),
+        value("--model", "NAME", "event|cycle", opt.model),
+        value("--page", "POLICY",
+              "open|open_adaptive|closed|closed_adaptive", opt.page),
+        value("--mapping", "NAME", "RoRaBaCoCh|RoRaBaChCo|RoCoRaBaCh",
+              opt.mapping),
+        value("--sched", "NAME", "fcfs|frfcfs", opt.sched),
+        value("--read-pct", "N", "percentage of reads (default 100)",
+              opt.readPct),
+        value("--itt-ns", "F", "inter-transaction time (default 6)",
+              opt.ittNs),
+        value("--requests", "N", "requests to simulate (default 20000)",
+              opt.requests),
+        value("--stride", "BYTES", "dram pattern stride (default 256)",
+              opt.strideBytes),
+        value("--banks", "N", "dram pattern banks (default 4)",
+              opt.banks),
+        value("--temperature", "C", "device temperature (default 85)",
+              opt.temperatureC, &opt.tempExplicit),
+        toggle("--power-down", "enable the power-down extension",
+               opt.powerDown),
+        value("--plugins", "LIST",
+              "controller plugin chain (csv of ecc|prac|\n"
+              "refmgr|refmgr-pb; see docs/PLUGINS.md)",
+              opt.plugins),
+        value("--ecc-ber", "F", "raw bit error rate for the ecc plugin",
+              opt.eccBer),
+        value("--ecc-seed", "N",
+              "error-injection seed for the ecc plugin", opt.eccSeed),
+        value("--prac-threshold", "N",
+              "activation threshold for the prac plugin",
+              opt.pracThreshold),
+        toggle("--audit", "log commands and run the JEDEC checker",
+               opt.audit),
+        toggle("--json", "dump the full stats tree as JSON", opt.json),
+        value("--seed", "N", "RNG seed (default 1)", opt.seed),
+        value("--runs", "N",
+              "repeat with seeds derived from (seed, run\n"
+              "index), one summary row per run",
+              opt.runs),
+        threads("--jobs", "M",
+                "concurrent runs in batch mode (default 1;\n"
+                "0 = one per core); output is identical for\n"
+                "every value",
+                opt.jobs),
+        section("trace replay/capture (see docs/TRACES.md):"),
+        value("--trace-in", "PATH",
+              "stimulus file for --pattern trace; text or\n"
+              "binary .dtrc, detected by content",
+              opt.traceIn),
+        value("--trace-capture", "P",
+              "record the accepted request stream to P\n"
+              "(.txt => text, anything else => .dtrc binary;\n"
+              "with --runs, P is a prefix: one\n"
+              "'<P><run>.dtrc' file per run)",
+              opt.traceCapture),
+        value("--trace-scale", "F",
+              "stretch (>1) or compress (<1) replayed\n"
+              "inter-request gaps (default 1.0)",
+              opt.traceScale),
+        section("multi-channel:"),
+        value("--channels", "N",
+              "simulate N interleaved channels behind the\n"
+              "sharded crossbar, one generator per channel\n"
+              "(--requests is the total across channels)",
+              opt.channels),
+        threads("--sim-threads", "N",
+                "worker threads for one multi-channel run\n"
+                "(default 1; 0 = one per core); stats are\n"
+                "byte-identical for every value",
+                opt.simThreads),
+        section("observability:"),
+        value("--trace", "LIST", "enable trace channels (csv or 'all')",
+              opt.traceChannels),
+        value("--trace-file", "PATH",
+              "tick-stamped text trace to PATH (default stderr)",
+              opt.traceFile),
+        value("--trace-jsonl", "PATH", "JSONL trace to PATH",
+              opt.traceJsonl),
+        value("--trace-chrome", "PATH",
+              "Chrome trace-event JSON (packet spans\n"
+              "+ DRAM commands; open in Perfetto)",
+              opt.chromeFile),
+        value("--sample-interval", "NS",
+              "sample stats every NS ns of sim time",
+              opt.sampleIntervalNs),
+        value("--sample-file", "PATH",
+              "time series target (default samples.csv)",
+              opt.sampleFile),
+        value("--sample-format", "F", "csv|jsonl (default csv)",
+              opt.sampleFormat),
+        value("--sample-stats", "LIST",
+              "csv of stat paths (default controller set)",
+              opt.sampleStats),
+        toggle("--profile-events", "count and time events per type",
+               opt.profileEvents),
+        value("--metrics-listen", "SPEC",
+              "serve live metrics while running: a\n"
+              "Unix socket path (contains '/') or a\n"
+              "loopback TCP port (0 = ephemeral);\n"
+              "Prometheus text by default, /json for JSON",
+              opt.metricsListen),
+        value("--metrics-interval", "NS",
+              "publish cadence in ns (default 1000)",
+              opt.metricsIntervalNs),
+        section("checkpointing:"),
+        value("--ckpt-at", "NS",
+              "simulate to NS ns, save a checkpoint, stop",
+              opt.ckptAtNs),
+        value("--ckpt-out", "PATH", "checkpoint target (default ckpt.bin)",
+              opt.ckptOut),
+        value("--ckpt-restore", "P",
+              "restore checkpoint P (same config flags!)\n"
+              "before simulating to completion",
+              opt.ckptRestore),
+        value("--ckpt-json", "PATH", "print checkpoint PATH as JSON and exit",
+              opt.ckptJson),
     };
-    for (int i = 1; i < argc; ++i) {
-        std::string a = argv[i];
-        if (a == "--preset") {
-            opt.preset = need(i);
-            opt.presetExplicit = true;
-        }
-        else if (a == "--config") opt.configFile = need(i);
-        else if (a == "--dump-config") opt.dumpConfig = need(i);
-        else if (a == "--pattern") opt.pattern = need(i);
-        else if (a == "--model") opt.model = need(i);
-        else if (a == "--eventq") opt.eventq = need(i);
-        else if (a == "--page") opt.page = need(i);
-        else if (a == "--mapping") opt.mapping = need(i);
-        else if (a == "--sched") opt.sched = need(i);
-        else if (a == "--read-pct")
-            opt.readPct = static_cast<unsigned>(std::stoul(need(i)));
-        else if (a == "--itt-ns") opt.ittNs = std::stod(need(i));
-        else if (a == "--requests") opt.requests = std::stoull(need(i));
-        else if (a == "--stride")
-            opt.strideBytes = std::stoull(need(i));
-        else if (a == "--banks")
-            opt.banks = static_cast<unsigned>(std::stoul(need(i)));
-        else if (a == "--temperature") {
-            opt.temperatureC = std::stod(need(i));
-            opt.tempExplicit = true;
-        }
-        else if (a == "--power-down") opt.powerDown = true;
-        else if (a == "--plugins") opt.plugins = need(i);
-        else if (a == "--ecc-ber") opt.eccBer = std::stod(need(i));
-        else if (a == "--ecc-seed") opt.eccSeed = std::stoull(need(i));
-        else if (a == "--prac-threshold")
-            opt.pracThreshold =
-                static_cast<unsigned>(std::stoul(need(i)));
-        else if (a == "--audit") opt.audit = true;
-        else if (a == "--json") opt.json = true;
-        else if (a == "--seed") opt.seed = std::stoull(need(i));
-        else if (a == "--runs") opt.runs = std::stoull(need(i));
-        else if (a == "--jobs") {
-            opt.jobs = static_cast<unsigned>(std::stoul(need(i)));
-            if (opt.jobs == 0)
-                opt.jobs = exec::ThreadPool::hardwareThreads();
-        }
-        else if (a == "--channels")
-            opt.channels = static_cast<unsigned>(std::stoul(need(i)));
-        else if (a == "--sim-threads") {
-            opt.simThreads =
-                static_cast<unsigned>(std::stoul(need(i)));
-            if (opt.simThreads == 0)
-                opt.simThreads = exec::ThreadPool::hardwareThreads();
-        }
-        else if (a == "--trace-in") opt.traceIn = need(i);
-        else if (a == "--trace-capture") opt.traceCapture = need(i);
-        else if (a == "--trace-scale")
-            opt.traceScale = std::stod(need(i));
-        else if (a == "--trace") opt.traceChannels = need(i);
-        else if (a == "--trace-file") opt.traceFile = need(i);
-        else if (a == "--trace-jsonl") opt.traceJsonl = need(i);
-        else if (a == "--trace-chrome") opt.chromeFile = need(i);
-        else if (a == "--sample-interval")
-            opt.sampleIntervalNs = std::stod(need(i));
-        else if (a == "--sample-file") opt.sampleFile = need(i);
-        else if (a == "--sample-format") opt.sampleFormat = need(i);
-        else if (a == "--sample-stats") opt.sampleStats = need(i);
-        else if (a == "--profile-events") opt.profileEvents = true;
-        else if (a == "--metrics-listen") opt.metricsListen = need(i);
-        else if (a == "--metrics-interval")
-            opt.metricsIntervalNs = std::stod(need(i));
-        else if (a == "--ckpt-at") opt.ckptAtNs = std::stod(need(i));
-        else if (a == "--ckpt-out") opt.ckptOut = need(i);
-        else if (a == "--ckpt-restore") opt.ckptRestore = need(i);
-        else if (a == "--ckpt-json") opt.ckptJson = need(i);
-        else if (a == "--help" || a == "-h") {
-            usage(argv[0]);
-            return false;
-        } else {
-            fatal("unknown option '%s' (try --help)", a.c_str());
-        }
-    }
-    return true;
-}
-
-PagePolicy
-pageFromString(const std::string &s)
-{
-    if (s == "open") return PagePolicy::Open;
-    if (s == "open_adaptive") return PagePolicy::OpenAdaptive;
-    if (s == "closed") return PagePolicy::Closed;
-    if (s == "closed_adaptive") return PagePolicy::ClosedAdaptive;
-    fatal("unknown page policy '%s'", s.c_str());
-}
-
-AddrMapping
-mappingFromString(const std::string &s)
-{
-    if (s == "RoRaBaCoCh") return AddrMapping::RoRaBaCoCh;
-    if (s == "RoRaBaChCo") return AddrMapping::RoRaBaChCo;
-    if (s == "RoCoRaBaCh") return AddrMapping::RoCoRaBaCh;
-    fatal("unknown address mapping '%s'", s.c_str());
-}
-
-SchedPolicy
-schedFromString(const std::string &s)
-{
-    if (s == "fcfs") return SchedPolicy::Fcfs;
-    if (s == "frfcfs") return SchedPolicy::FrFcfs;
-    fatal("unknown scheduler '%s'", s.c_str());
 }
 
 /**
@@ -352,7 +272,7 @@ int
 runBatch(const CliOptions &opt, const DRAMCtrlConfig &cfg,
          harness::CtrlModel model)
 {
-    if (!opt.sched.empty() || opt.audit || opt.powerDown ||
+    if (opt.sched || opt.audit || opt.powerDown ||
         !opt.plugins.empty() ||
         opt.temperatureC != 85.0 || !opt.traceChannels.empty() ||
         !opt.traceFile.empty() || !opt.traceJsonl.empty() ||
@@ -561,21 +481,13 @@ int
 main(int argc, char **argv)
 {
     CliOptions opt;
-    if (!parseArgs(argc, argv, opt))
+    if (!cli::parseOptions(argc, argv, optionTable(opt)))
         return 0;
 
     if (!opt.ckptJson.empty()) {
         ckpt::dumpJsonFile(opt.ckptJson, std::cout);
         return 0;
     }
-
-    // Must precede every simulator construction: queues pin their
-    // agenda kind when built.
-    if (opt.eventq == "calendar")
-        EventQueue::setDefaultAgenda(AgendaKind::Calendar);
-    else if (opt.eventq != "heap")
-        fatal("unknown event queue '%s' (heap|calendar)",
-              opt.eventq.c_str());
 
     // A system preset names a whole multi-channel assembly; an
     // explicit --channels can still override its channel count.
@@ -603,12 +515,12 @@ main(int argc, char **argv)
     } else {
         cfg = presets::byName(opt.preset);
     }
-    if (!opt.page.empty())
-        cfg.pagePolicy = pageFromString(opt.page);
-    if (!opt.mapping.empty())
-        cfg.addrMapping = mappingFromString(opt.mapping);
-    if (!opt.sched.empty())
-        cfg.schedPolicy = schedFromString(opt.sched);
+    if (opt.page)
+        cfg.pagePolicy = *opt.page;
+    if (opt.mapping)
+        cfg.addrMapping = *opt.mapping;
+    if (opt.sched)
+        cfg.schedPolicy = *opt.sched;
     if (opt.tempExplicit || opt.configFile.empty())
         cfg.temperatureC = opt.temperatureC;
     if (opt.powerDown || opt.configFile.empty())
@@ -723,15 +635,10 @@ main(int argc, char **argv)
                      path.c_str());
         };
         if (!opt.sampleStats.empty()) {
-            std::size_t pos = 0;
-            while (pos <= opt.sampleStats.size()) {
-                std::size_t comma = opt.sampleStats.find(',', pos);
-                if (comma == std::string::npos)
-                    comma = opt.sampleStats.size();
-                if (comma > pos)
-                    addOne(opt.sampleStats.substr(pos, comma - pos));
-                pos = comma + 1;
-            }
+            std::vector<std::string> paths;
+            cli::parseValue("--sample-stats", opt.sampleStats, paths);
+            for (const std::string &path : paths)
+                addOne(path);
         } else {
             for (const char *s :
                  {"readReqs", "writeReqs", "bytesRead", "bytesWritten",

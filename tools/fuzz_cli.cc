@@ -35,9 +35,11 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "dram/dram_presets.hh"
 #include "exec/batch_runner.hh"
+#include "harness/cli_options.hh"
 #include "obs/metrics.hh"
 #include "obs/metrics_server.hh"
 #include "obs/trace.hh"
@@ -79,125 +81,87 @@ struct FuzzCliOptions
     bool verbose = false;
 };
 
-void
-usage(const char *prog)
+std::vector<cli::Option>
+optionTable(FuzzCliOptions &opt)
 {
-    std::printf(
-        "usage: %s [options]\n"
-        "  --runs N           fuzz cases to run (default 50; 0 = "
-        "until --duration-s)\n"
-        "  --seed N           master seed (default 1); every failure "
-        "is\n"
-        "                     reproducible from this seed + run index\n"
-        "  --first-run N      start at case index N (replay one case "
-        "as\n"
-        "                     --first-run N --runs 1)\n"
-        "  --jobs N           concurrent fuzz jobs (default 1; 0 = "
-        "one\n"
-        "                     per core); output is byte-identical "
-        "for\n"
-        "                     every value\n"
-        "  --requests N       override per-case request count\n"
-        "  --duration-s S     stop after S wall-clock seconds\n"
-        "  --tolerance-bw F   relative completion-time tolerance "
-        "(default 0.5)\n"
-        "  --tolerance-lat F  relative read-latency tolerance "
-        "(default 0.60)\n"
-        "  --out-dir PATH     where repro/trace files go (default .)\n"
-        "  --trace-capture P  write every case's drawn request stream "
-        "as\n"
-        "                     '<P><run>.dtrc' (replayable with "
-        "dramctrl_cli\n"
-        "                     --pattern trace; identical for every "
-        "--jobs)\n"
-        "  --fuzz-plugins     also draw random plugin chains (ecc, "
-        "prac,\n"
-        "                     refresh managers) for every case\n"
-        "  --standards S      preset pool to draw timing sets from: "
-        "'all'\n"
-        "                     (every registered preset) or a csv of\n"
-        "                     preset names; default keeps the "
-        "historical\n"
-        "                     DDR3-era pool so old seeds reproduce\n"
-        "  --inject-bug [M]   plant fault M in the event model — the "
-        "run\n"
-        "                     must fail and the checker must name the "
-        "rule.\n"
-        "                     M: trcd (default; tRCD x 0.5), prac "
-        "(skip the\n"
-        "                     mitigation refresh), trfcpb (drop the "
-        "per-bank\n"
-        "                     refresh blackout), refpb (starve one "
-        "bank of\n"
-        "                     per-bank refresh)\n"
-        "  --no-shrink        skip stream minimisation on failure\n"
-        "  --no-shard-diff    skip the sharded-vs-sequential check "
-        "(each\n"
-        "                     case normally also runs a multi-channel\n"
-        "                     system with a random --sim-threads and\n"
-        "                     demands byte-identical results)\n"
-        "  --repro FILE       replay a repro file instead of fuzzing\n"
-        "  --metrics-listen SPEC  serve live fuzz progress (Unix "
-        "socket\n"
-        "                     path or loopback TCP port; see "
-        "dramctrl_cli)\n"
-        "  --verbose          print every case, not just failures\n",
-        prog);
-}
-
-bool
-parseArgs(int argc, char **argv, FuzzCliOptions &opt)
-{
-    auto need = [&](int &i) -> const char * {
-        if (i + 1 >= argc)
-            fatal("missing value for %s", argv[i]);
-        return argv[++i];
+    using cli::callback;
+    using cli::threads;
+    using cli::toggle;
+    using cli::value;
+    return {
+        value("--runs", "N",
+              "fuzz cases to run (default 50; 0 = until --duration-s)",
+              opt.runs),
+        value("--seed", "N",
+              "master seed (default 1); every failure is\n"
+              "reproducible from this seed + run index",
+              opt.seed),
+        value("--first-run", "N",
+              "start at case index N (replay one case as\n"
+              "--first-run N --runs 1)",
+              opt.firstRun),
+        threads("--jobs", "N",
+                "concurrent fuzz jobs (default 1; 0 = one\n"
+                "per core); output is byte-identical for\n"
+                "every value",
+                opt.jobs),
+        value("--requests", "N", "override per-case request count",
+              opt.requests),
+        value("--duration-s", "S", "stop after S wall-clock seconds",
+              opt.durationS),
+        value("--tolerance-bw", "F",
+              "relative completion-time tolerance (default 0.5)",
+              opt.toleranceBw),
+        value("--tolerance-lat", "F",
+              "relative read-latency tolerance (default 0.60)",
+              opt.toleranceLat),
+        value("--out-dir", "PATH",
+              "where repro/trace files go (default .)", opt.outDir),
+        value("--trace-capture", "P",
+              "write every case's drawn request stream as\n"
+              "'<P><run>.dtrc' (replayable with dramctrl_cli\n"
+              "--pattern trace; identical for every --jobs)",
+              opt.traceCapture),
+        toggle("--fuzz-plugins",
+               "also draw random plugin chains (ecc, prac,\n"
+               "refresh managers) for every case",
+               opt.fuzzPlugins),
+        value("--standards", "S",
+              "preset pool to draw timing sets from: 'all'\n"
+              "(every registered preset) or a csv of\n"
+              "preset names; default keeps the historical\n"
+              "DDR3-era pool so old seeds reproduce",
+              opt.standards),
+        // Optional mode operand; bare --inject-bug keeps the original
+        // tRCD fault.
+        callback("--inject-bug", "[M]",
+                 "plant fault M in the event model — the run\n"
+                 "must fail and the checker must name the rule.\n"
+                 "M: trcd (default; tRCD x 0.5), prac (skip the\n"
+                 "mitigation refresh), trfcpb (drop the per-bank\n"
+                 "refresh blackout), refpb (starve one bank of\n"
+                 "per-bank refresh)",
+                 [&opt](const char *mode) {
+                     opt.injectMode = mode != nullptr ? mode : "trcd";
+                 },
+                 cli::Option::Arg::Optional),
+        toggle("--no-shrink", "skip stream minimisation on failure",
+               opt.noShrink),
+        toggle("--no-shard-diff",
+               "skip the sharded-vs-sequential check (each\n"
+               "case normally also runs a multi-channel\n"
+               "system with a random --sim-threads and\n"
+               "demands byte-identical results)",
+               opt.noShardDiff),
+        value("--repro", "FILE", "replay a repro file instead of fuzzing",
+              opt.repro),
+        value("--metrics-listen", "SPEC",
+              "serve live fuzz progress (Unix socket\n"
+              "path or loopback TCP port; see dramctrl_cli)",
+              opt.metricsListen),
+        toggle("--verbose", "print every case, not just failures",
+               opt.verbose),
     };
-    for (int i = 1; i < argc; ++i) {
-        std::string a = argv[i];
-        if (a == "--runs") opt.runs = std::stoull(need(i));
-        else if (a == "--seed") opt.seed = std::stoull(need(i));
-        else if (a == "--first-run")
-            opt.firstRun = std::stoull(need(i));
-        else if (a == "--jobs") {
-            opt.jobs = static_cast<unsigned>(std::stoul(need(i)));
-            if (opt.jobs == 0)
-                opt.jobs = exec::ThreadPool::hardwareThreads();
-        }
-        else if (a == "--requests")
-            opt.requests = std::stoull(need(i));
-        else if (a == "--duration-s")
-            opt.durationS = std::stod(need(i));
-        else if (a == "--tolerance-bw")
-            opt.toleranceBw = std::stod(need(i));
-        else if (a == "--tolerance-lat")
-            opt.toleranceLat = std::stod(need(i));
-        else if (a == "--out-dir") opt.outDir = need(i);
-        else if (a == "--trace-capture") opt.traceCapture = need(i);
-        else if (a == "--inject-bug") {
-            // Optional mode operand; bare --inject-bug keeps the
-            // original tRCD fault.
-            if (i + 1 < argc && argv[i + 1][0] != '-')
-                opt.injectMode = argv[++i];
-            else
-                opt.injectMode = "trcd";
-        }
-        else if (a == "--fuzz-plugins") opt.fuzzPlugins = true;
-        else if (a == "--standards") opt.standards = need(i);
-        else if (a == "--no-shrink") opt.noShrink = true;
-        else if (a == "--no-shard-diff") opt.noShardDiff = true;
-        else if (a == "--repro") opt.repro = need(i);
-        else if (a == "--metrics-listen")
-            opt.metricsListen = need(i);
-        else if (a == "--verbose") opt.verbose = true;
-        else if (a == "--help" || a == "-h") {
-            usage(argv[0]);
-            return false;
-        } else {
-            fatal("unknown option '%s' (try --help)", a.c_str());
-        }
-    }
-    return true;
 }
 
 int
@@ -333,7 +297,7 @@ int
 main(int argc, char **argv)
 {
     FuzzCliOptions opt;
-    if (!parseArgs(argc, argv, opt))
+    if (!cli::parseOptions(argc, argv, optionTable(opt)))
         return 0;
     if (!opt.repro.empty())
         return replayRepro(opt);
@@ -377,16 +341,11 @@ main(int argc, char **argv)
     if (opt.standards == "all") {
         fopts.standards = presets::names();
     } else if (!opt.standards.empty()) {
-        std::string item;
-        std::istringstream csv(opt.standards);
-        while (std::getline(csv, item, ',')) {
-            if (item.empty())
-                continue;
+        cli::parseValue("--standards", opt.standards, fopts.standards);
+        for (const std::string &item : fopts.standards)
             if (!presets::hasPreset(item))
                 fatal("--standards: unknown preset '%s'",
                       item.c_str());
-            fopts.standards.push_back(item);
-        }
         if (fopts.standards.empty())
             fatal("--standards: no preset names in '%s'",
                   opt.standards.c_str());

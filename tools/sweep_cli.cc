@@ -28,6 +28,7 @@
 #include "dram/dram_presets.hh"
 #include "exec/batch_runner.hh"
 #include "exec/sweep.hh"
+#include "harness/cli_options.hh"
 #include "harness/config_file.hh"
 #include "obs/metrics.hh"
 #include "obs/metrics_server.hh"
@@ -51,188 +52,116 @@ struct SweepCliOptions
     std::string metricsListen;   // live endpoint listen spec
 };
 
-void
-usage(const char *prog)
+std::vector<cli::Option>
+optionTable(SweepCliOptions &opt)
 {
-    std::printf(
-        "usage: %s [options]   (list-valued options take csv)\n"
-        "  --preset LIST      ddr3_1333|ddr3_1600|lpddr3_1600|"
-        "wideio_200|\n"
-        "                     hmc_vault|ddr4_2400|lpddr4_3200|hbm2\n"
-        "  --config LIST      declarative config files (see\n"
-        "                     docs/STANDARDS.md); each file is "
-        "registered\n"
-        "                     as an in-process preset and added to "
-        "the\n"
-        "                     --preset axis under its own name\n"
-        "  --pattern LIST     linear|random|dram\n"
-        "  --page LIST        open|open_adaptive|closed|"
-        "closed_adaptive\n"
-        "  --mapping LIST     RoRaBaCoCh|RoRaBaChCo|RoCoRaBaCh\n"
-        "  --read-pct LIST    read percentages\n"
-        "  --itt-ns LIST      inter-transaction times, ns\n"
-        "  --model NAME       event|cycle|both (default event)\n"
-        "  --seeds N          seeds per grid point (default 1)\n"
-        "  --seed N           master seed (default 1); run seeds "
-        "derive\n"
-        "                     from (master seed, grid index)\n"
-        "  --requests N       requests per run (default 5000)\n"
-        "  --warmup N         warm-up requests before the stats reset\n"
-        "                     (default 0 = none)\n"
-        "  --warm-start       checkpoint each config group once after\n"
-        "                     warm-up and fan the measured phases out\n"
-        "                     from the shared snapshot (needs "
-        "--warmup)\n"
-        "  --plugins LIST     controller plugin chain applied to "
-        "every\n"
-        "                     point (csv of ecc|prac|refmgr|refmgr-pb;\n"
-        "                     refmgr-pb needs --model event)\n"
-        "  --stride BYTES     dram-pattern stride (default 256)\n"
-        "  --banks N          dram-pattern banks (default 4)\n"
-        "  --channels N       channels per run (default 1); N > 1 "
-        "builds a\n"
-        "                     sharded multi-channel system per point\n"
-        "  --sim-threads N    worker threads inside each run "
-        "(default 1;\n"
-        "                     0 = one per core); composes with --jobs "
-        "and\n"
-        "                     never changes the rows\n"
-        "  --jobs N           worker threads (default 1; 0 = one "
-        "per core);\n"
-        "                     output is identical for every value\n"
-        "  --out PATH         result file (default stdout)\n"
-        "  --format F         csv|jsonl (default csv)\n"
-        "  --metrics-listen SPEC  serve live batch progress (Unix "
-        "socket\n"
-        "                     path or loopback TCP port; see "
-        "dramctrl_cli)\n",
-        prog);
-}
-
-std::vector<std::string>
-splitCsv(const std::string &csv)
-{
-    std::vector<std::string> out;
-    std::size_t pos = 0;
-    while (pos <= csv.size()) {
-        std::size_t comma = csv.find(',', pos);
-        if (comma == std::string::npos)
-            comma = csv.size();
-        if (comma > pos)
-            out.push_back(csv.substr(pos, comma - pos));
-        pos = comma + 1;
-    }
-    return out;
-}
-
-bool
-parseArgs(int argc, char **argv, SweepCliOptions &opt)
-{
-    auto need = [&](int &i) -> const char * {
-        if (i + 1 >= argc)
-            fatal("missing value for %s", argv[i]);
-        return argv[++i];
-    };
+    using cli::callback;
+    using cli::threads;
+    using cli::toggle;
+    using cli::value;
     SweepSpec &spec = opt.spec;
-    for (int i = 1; i < argc; ++i) {
-        std::string a = argv[i];
-        if (a == "--preset") {
-            spec.presets = splitCsv(need(i));
-            opt.presetExplicit = true;
-        } else if (a == "--config") {
-            // Each file becomes an in-process preset named after its
-            // base preset (shadowing it) or its path, and joins the
-            // preset axis so the grid expands over it like any name.
-            for (const std::string &path : splitCsv(need(i))) {
-                std::string base;
-                DRAMCtrlConfig cfg =
-                    harness::loadConfigFile(path, &base);
-                std::string pname =
-                    base.empty() ? "config:" + path : base;
-                presets::registerPreset(pname,
-                                        [cfg] { return cfg; });
-                opt.configPresets.push_back(pname);
-            }
-        } else if (a == "--pattern") {
-            spec.patterns = splitCsv(need(i));
-        } else if (a == "--page") {
-            spec.pages.clear();
-            for (const std::string &s : splitCsv(need(i))) {
-                PagePolicy p;
-                if (!fromString(s, p))
-                    fatal("unknown page policy '%s'", s.c_str());
-                spec.pages.push_back(p);
-            }
-        } else if (a == "--mapping") {
-            spec.mappings.clear();
-            for (const std::string &s : splitCsv(need(i))) {
-                AddrMapping m;
-                if (!fromString(s, m))
-                    fatal("unknown mapping '%s'", s.c_str());
-                spec.mappings.push_back(m);
-            }
-        } else if (a == "--read-pct") {
-            spec.readPcts.clear();
-            for (const std::string &s : splitCsv(need(i)))
-                spec.readPcts.push_back(
-                    static_cast<unsigned>(std::stoul(s)));
-        } else if (a == "--itt-ns") {
-            spec.ittNs.clear();
-            for (const std::string &s : splitCsv(need(i)))
-                spec.ittNs.push_back(std::stod(s));
-        } else if (a == "--model") {
-            std::string m = need(i);
-            if (m == "event")
-                spec.models = {harness::CtrlModel::Event};
-            else if (m == "cycle")
-                spec.models = {harness::CtrlModel::Cycle};
-            else if (m == "both")
-                spec.models = {harness::CtrlModel::Event,
-                               harness::CtrlModel::Cycle};
-            else
-                fatal("unknown model '%s'", m.c_str());
-        } else if (a == "--seeds") {
-            spec.numSeeds =
-                static_cast<unsigned>(std::stoul(need(i)));
-        } else if (a == "--seed") {
-            spec.masterSeed = std::stoull(need(i));
-        } else if (a == "--plugins") {
-            spec.plugins = need(i);
-        } else if (a == "--requests") {
-            spec.requests = std::stoull(need(i));
-        } else if (a == "--warmup") {
-            spec.warmupRequests = std::stoull(need(i));
-        } else if (a == "--warm-start") {
-            opt.warmStart = true;
-        } else if (a == "--stride") {
-            spec.strideBytes = std::stoull(need(i));
-        } else if (a == "--banks") {
-            spec.banks = static_cast<unsigned>(std::stoul(need(i)));
-        } else if (a == "--channels") {
-            spec.channels =
-                static_cast<unsigned>(std::stoul(need(i)));
-        } else if (a == "--sim-threads") {
-            spec.simThreads =
-                static_cast<unsigned>(std::stoul(need(i)));
-            if (spec.simThreads == 0)
-                spec.simThreads = ThreadPool::hardwareThreads();
-        } else if (a == "--jobs") {
-            opt.jobs = static_cast<unsigned>(std::stoul(need(i)));
-            if (opt.jobs == 0)
-                opt.jobs = ThreadPool::hardwareThreads();
-        } else if (a == "--out") {
-            opt.out = need(i);
-        } else if (a == "--format") {
-            opt.format = need(i);
-        } else if (a == "--metrics-listen") {
-            opt.metricsListen = need(i);
-        } else if (a == "--help" || a == "-h") {
-            usage(argv[0]);
-            return false;
-        } else {
-            fatal("unknown option '%s' (try --help)", a.c_str());
-        }
-    }
+    return {
+        value("--preset", "LIST",
+              "ddr3_1333|ddr3_1600|lpddr3_1600|wideio_200|\n"
+              "hmc_vault|ddr4_2400|lpddr4_3200|hbm2",
+              spec.presets, &opt.presetExplicit),
+        callback("--config", "LIST",
+                 "declarative config files (see\n"
+                 "docs/STANDARDS.md); each file is registered\n"
+                 "as an in-process preset and added to the\n"
+                 "--preset axis under its own name",
+                 [&opt](const char *csv) {
+                     // Each file becomes an in-process preset named
+                     // after its base preset (shadowing it) or its
+                     // path, and joins the preset axis so the grid
+                     // expands over it like any name.
+                     std::vector<std::string> paths;
+                     cli::parseValue("--config", csv, paths);
+                     for (const std::string &path : paths) {
+                         std::string base;
+                         DRAMCtrlConfig cfg =
+                             harness::loadConfigFile(path, &base);
+                         std::string pname =
+                             base.empty() ? "config:" + path : base;
+                         presets::registerPreset(
+                             pname, [cfg] { return cfg; });
+                         opt.configPresets.push_back(pname);
+                     }
+                 }),
+        value("--pattern", "LIST", "linear|random|dram", spec.patterns),
+        value("--page", "LIST", "open|open_adaptive|closed|closed_adaptive",
+              spec.pages),
+        value("--mapping", "LIST", "RoRaBaCoCh|RoRaBaChCo|RoCoRaBaCh",
+              spec.mappings),
+        value("--read-pct", "LIST", "read percentages", spec.readPcts),
+        value("--itt-ns", "LIST", "inter-transaction times, ns",
+              spec.ittNs),
+        callback("--model", "NAME", "event|cycle|both (default event)",
+                 [&spec](const char *m) {
+                     const std::string model = m;
+                     if (model == "event")
+                         spec.models = {harness::CtrlModel::Event};
+                     else if (model == "cycle")
+                         spec.models = {harness::CtrlModel::Cycle};
+                     else if (model == "both")
+                         spec.models = {harness::CtrlModel::Event,
+                                        harness::CtrlModel::Cycle};
+                     else
+                         fatal("unknown model '%s'", m);
+                 }),
+        value("--seeds", "N", "seeds per grid point (default 1)",
+              spec.numSeeds),
+        value("--seed", "N",
+              "master seed (default 1); run seeds derive\n"
+              "from (master seed, grid index)",
+              spec.masterSeed),
+        value("--requests", "N", "requests per run (default 5000)",
+              spec.requests),
+        value("--warmup", "N",
+              "warm-up requests before the stats reset\n"
+              "(default 0 = none)",
+              spec.warmupRequests),
+        toggle("--warm-start",
+               "checkpoint each config group once after\n"
+               "warm-up and fan the measured phases out\n"
+               "from the shared snapshot (needs --warmup)",
+               opt.warmStart),
+        value("--plugins", "LIST",
+              "controller plugin chain applied to every\n"
+              "point (csv of ecc|prac|refmgr|refmgr-pb;\n"
+              "refmgr-pb needs --model event)",
+              spec.plugins),
+        value("--stride", "BYTES", "dram-pattern stride (default 256)",
+              spec.strideBytes),
+        value("--banks", "N", "dram-pattern banks (default 4)",
+              spec.banks),
+        value("--channels", "N",
+              "channels per run (default 1); N > 1 builds a\n"
+              "sharded multi-channel system per point",
+              spec.channels),
+        threads("--sim-threads", "N",
+                "worker threads inside each run (default 1;\n"
+                "0 = one per core); composes with --jobs and\n"
+                "never changes the rows",
+                spec.simThreads),
+        threads("--jobs", "N",
+                "worker threads (default 1; 0 = one per core);\n"
+                "output is identical for every value",
+                opt.jobs),
+        value("--out", "PATH", "result file (default stdout)", opt.out),
+        value("--format", "F", "csv|jsonl (default csv)", opt.format),
+        value("--metrics-listen", "SPEC",
+              "serve live batch progress (Unix socket\n"
+              "path or loopback TCP port; see dramctrl_cli)",
+              opt.metricsListen),
+    };
+}
+
+/** Cross-flag checks, and the --config names joining the preset axis. */
+void
+finishOptions(SweepCliOptions &opt)
+{
+    SweepSpec &spec = opt.spec;
     if (opt.format != "csv" && opt.format != "jsonl")
         fatal("unknown format '%s'", opt.format.c_str());
     if (opt.warmStart && spec.warmupRequests == 0)
@@ -246,7 +175,6 @@ parseArgs(int argc, char **argv, SweepCliOptions &opt)
         for (const std::string &p : opt.configPresets)
             spec.presets.push_back(p);
     }
-    return true;
 }
 
 } // namespace
@@ -256,8 +184,10 @@ main(int argc, char **argv)
 {
     setQuiet(true);
     SweepCliOptions opt;
-    if (!parseArgs(argc, argv, opt))
+    if (!cli::parseOptions(argc, argv, optionTable(opt),
+                           "[options]   (list-valued options take csv)"))
         return 0;
+    finishOptions(opt);
 
     std::string err;
     if (!checkSpec(opt.spec, &err))

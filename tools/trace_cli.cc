@@ -15,6 +15,7 @@
 #include <cstring>
 #include <string>
 
+#include "harness/cli_options.hh"
 #include "sim/logging.hh"
 #include "sim/types.hh"
 #include "trafficgen/trace.hh"
@@ -248,7 +249,7 @@ main(int argc, char **argv)
             return usage(argv[0]);
         std::uint64_t n = 10;
         if (argc == 5)
-            n = std::strtoull(argv[4], nullptr, 10);
+            cli::parseValue("-n", argv[4], n);
         return cmdHead(argv[2], n);
     }
     if (cmd == "validate") {
