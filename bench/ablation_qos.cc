@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "bench_util.hh"
+#include "trafficgen/random_gen.hh"
 #include "xbar/xbar.hh"
 
 using namespace dramctrl;

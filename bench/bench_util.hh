@@ -17,13 +17,11 @@
 
 #include "dram/dram_presets.hh"
 #include "exec/thread_pool.hh"
+#include "harness/stimulus.hh"
 #include "harness/testbench.hh"
 #include "power/micron_power.hh"
 #include "sim/logging.hh"
 #include "stats/histogram.hh"
-#include "trafficgen/dram_gen.hh"
-#include "trafficgen/linear_gen.hh"
-#include "trafficgen/random_gen.hh"
 
 namespace dramctrl {
 namespace bench {
@@ -91,33 +89,27 @@ applyOverrides(DRAMCtrlConfig &cfg, const PointConfig &pc)
         pc.tweak(cfg);
 }
 
-/** Run one validation point with the DRAM-aware generator. */
+/**
+ * Drive @p cfg with @p stim: warm up for 5 us, reset the statistics,
+ * then measure until the requestor is done.
+ */
 inline PointResult
-runPoint(const PointConfig &pc)
+measurePoint(const PointConfig &pc, const DRAMCtrlConfig &cfg,
+             harness::Stimulus stim)
 {
-    DRAMCtrlConfig cfg = presets::ddr3_1333();
-    cfg.writeLowThreshold = 0.0; // drain fully so runs terminate
-    applyOverrides(cfg, pc);
-
     harness::SingleChannelSystem tb(cfg, pc.model);
+    stim.readPct = pc.readPct;
+    stim.ittNs = toNs(pc.itt);
+    stim.requests = pc.numRequests;
+    stim.seed = 12345;
+    harness::Requestors reqs = harness::attachStimulus(tb, stim);
+    const BaseGen &gen = *reqs.gens[0];
 
-    DramGenConfig gc;
-    gc.org = cfg.org;
-    gc.mapping = cfg.addrMapping;
-    gc.strideBytes = pc.strideBytes;
-    gc.numBanksTarget = pc.banks;
-    gc.readPct = pc.readPct;
-    gc.minITT = gc.maxITT = pc.itt;
-    gc.numRequests = pc.numRequests;
-    gc.seed = 12345;
-    auto &gen = tb.addGen<DramGen>(gc);
-
-    // Warm up 10% of the requests, then measure the rest.
     auto t0 = std::chrono::steady_clock::now();
     tb.sim().run(fromUs(5));
     tb.sim().resetStats();
     Tick measure_start = tb.sim().curTick();
-    tb.runToCompletion([&] { return gen.done(); }, fromUs(100000));
+    tb.runToCompletion([&] { return reqs.done(); }, fromUs(100000));
     auto t1 = std::chrono::steady_clock::now();
 
     PointResult r;
@@ -146,58 +138,31 @@ runPoint(const PointConfig &pc)
     return r;
 }
 
+/** Run one validation point with the DRAM-aware generator. */
+inline PointResult
+runPoint(const PointConfig &pc)
+{
+    DRAMCtrlConfig cfg = presets::ddr3_1333();
+    cfg.writeLowThreshold = 0.0; // drain fully so runs terminate
+    applyOverrides(cfg, pc);
+    harness::Stimulus stim;
+    stim.pattern = harness::Pattern::Dram;
+    stim.strideBytes = pc.strideBytes;
+    stim.banks = pc.banks;
+    return measurePoint(pc, cfg, stim);
+}
+
 /** Same point but with a linear or random generator (latency runs). */
 inline PointResult
 runLinearPoint(const PointConfig &pc, bool random = false)
 {
     DRAMCtrlConfig cfg = presets::ddr3_1333();
     applyOverrides(cfg, pc);
-    harness::SingleChannelSystem tb(cfg, pc.model);
-
-    GenConfig gc;
-    gc.windowSize = 1 << 22;
-    gc.readPct = pc.readPct;
-    gc.minITT = gc.maxITT = pc.itt;
-    gc.numRequests = pc.numRequests;
-    gc.seed = 12345;
-
-    BaseGen *gen;
-    if (random)
-        gen = &tb.addGen<RandomGen>(gc);
-    else
-        gen = &tb.addGen<LinearGen>(gc);
-
-    auto t0 = std::chrono::steady_clock::now();
-    tb.sim().run(fromUs(5));
-    tb.sim().resetStats();
-    Tick measure_start = tb.sim().curTick();
-    tb.runToCompletion([&] { return gen->done(); }, fromUs(100000));
-    auto t1 = std::chrono::steady_clock::now();
-
-    PointResult r;
-    r.cfg = cfg;
-    r.busUtil = tb.ctrl().busUtilisation();
-    r.bandwidthGBs = tb.ctrl().achievedBandwidthGBs();
-    r.avgReadLatencyNs = gen->avgReadLatencyNs();
-    r.powerIn = tb.ctrl().powerInputs();
-    r.hostSeconds = std::chrono::duration<double>(t1 - t0).count();
-    r.simSeconds = toSeconds(tb.sim().curTick() - measure_start);
-    r.events = tb.sim().eventq().numEventsServiced();
-    if (pc.model == harness::CtrlModel::Event) {
-        r.rowHitRate =
-            tb.eventCtrl().ctrlStats().rowHitRate.value();
-        r.wrPerTurnaround =
-            tb.eventCtrl().ctrlStats().wrPerTurnAround.value();
-    }
-
-    const auto &h = gen->genStats().readLatencyHist;
-    for (std::size_t i = 0; i < h.numBuckets(); ++i) {
-        if (h.bucketCount(i) > 0)
-            r.latencyBuckets.emplace_back(h.bucketLow(i),
-                                          h.bucketCount(i));
-    }
-    r.latencyModes = h.numModes(0.02);
-    return r;
+    harness::Stimulus stim;
+    stim.pattern =
+        random ? harness::Pattern::Random : harness::Pattern::Linear;
+    stim.windowBytes = 1 << 22;
+    return measurePoint(pc, cfg, stim);
 }
 
 /**

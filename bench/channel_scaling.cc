@@ -23,11 +23,10 @@
 #include <vector>
 
 #include "dram/dram_presets.hh"
-#include "exec/batch_runner.hh"
 #include "exec/thread_pool.hh"
 #include "harness/multichannel.hh"
+#include "harness/stimulus.hh"
 #include "sim/logging.hh"
-#include "trafficgen/random_gen.hh"
 
 using namespace dramctrl;
 
@@ -64,17 +63,12 @@ runOnce(unsigned channels, unsigned sim_threads,
     mcfg.simThreads = sim_threads;
 
     harness::MultiChannelSystem mc(mcfg);
-
-    GenConfig gc;
-    gc.minITT = gc.maxITT = fromNs(4.0);
-    gc.numRequests = requests_per_gen;
-    gc.readPct = 67;
-    for (unsigned i = 0; i < channels; ++i) {
-        GenConfig g = harness::sliceGenWindow(gc, i, channels,
-                                              mc.totalCapacity());
-        g.seed = exec::deriveSeed(seed, i);
-        mc.addGen<RandomGen>(g);
-    }
+    harness::Stimulus stim;
+    stim.readPct = 67;
+    stim.ittNs = 4.0;
+    stim.requests = requests_per_gen * channels;
+    stim.seed = seed;
+    harness::attachStimulus(mc, stim);
 
     mc.runToCompletion();
 

@@ -23,6 +23,7 @@
 
 #include "bench_util.hh"
 #include "exec/batch_runner.hh"
+#include "trafficgen/random_gen.hh"
 #include "xbar/xbar.hh"
 
 using namespace dramctrl;

@@ -40,9 +40,9 @@
 #include "exec/batch_runner.hh"
 #include "exec/sweep.hh"
 #include "harness/multichannel.hh"
+#include "harness/stimulus.hh"
 #include "sim/logging.hh"
 #include "sim/random.hh"
-#include "trafficgen/random_gen.hh"
 #include "validate/config_fuzzer.hh"
 #include "validate/diff_runner.hh"
 
@@ -129,7 +129,7 @@ main(int argc, char **argv)
     // (once per config group), checkpoints, and restores per seed.
     exec::SweepSpec sspec;
     sspec.presets = {"ddr3_1333", "ddr3_1600"};
-    sspec.patterns = {"random"};
+    sspec.patterns = {harness::Pattern::Random};
     sspec.numSeeds = 8;
     sspec.masterSeed = seed;
     sspec.warmupRequests = 3000;
@@ -210,16 +210,12 @@ main(int argc, char **argv)
         mcfg.ctrl.check();
         mcfg.simThreads = sim_threads;
         harness::MultiChannelSystem mc(mcfg);
-        GenConfig gc;
-        gc.minITT = gc.maxITT = fromNs(4.0);
-        gc.numRequests = intra_reqs;
-        gc.readPct = 67;
-        for (unsigned i = 0; i < intra_channels; ++i) {
-            GenConfig g = harness::sliceGenWindow(
-                gc, i, intra_channels, mc.totalCapacity());
-            g.seed = exec::deriveSeed(seed, i);
-            mc.addGen<RandomGen>(g);
-        }
+        harness::Stimulus stim;
+        stim.readPct = 67;
+        stim.ittNs = 4.0;
+        stim.requests = intra_reqs * intra_channels;
+        stim.seed = seed;
+        harness::attachStimulus(mc, stim);
         auto i0 = std::chrono::steady_clock::now();
         mc.runToCompletion();
         auto i1 = std::chrono::steady_clock::now();

@@ -13,6 +13,7 @@
 
 #include "bench_util.hh"
 #include "dram/plugin/plugin.hh"
+#include "trafficgen/random_gen.hh"
 
 using namespace dramctrl;
 using namespace dramctrl::bench;

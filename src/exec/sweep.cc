@@ -10,10 +10,6 @@
 #include "exec/batch_runner.hh"
 #include "harness/multichannel.hh"
 #include "sim/logging.hh"
-#include "trafficgen/dram_gen.hh"
-#include "trafficgen/linear_gen.hh"
-#include "trafficgen/random_gen.hh"
-#include "trafficgen/trace_file.hh"
 
 namespace dramctrl {
 namespace exec {
@@ -24,7 +20,7 @@ expandGrid(const SweepSpec &spec)
     std::vector<SweepPoint> grid;
     unsigned seeds = std::max(1u, spec.numSeeds);
     for (const std::string &preset : spec.presets)
-        for (const std::string &pattern : spec.patterns)
+        for (harness::Pattern pattern : spec.patterns)
             for (PagePolicy page : spec.pages)
                 for (AddrMapping mapping : spec.mappings)
                     for (unsigned read_pct : spec.readPcts)
@@ -48,114 +44,100 @@ expandGrid(const SweepSpec &spec)
     return grid;
 }
 
-bool
-checkSpec(const SweepSpec &spec, std::string *err)
+namespace {
+
+/** The first problem with @p spec, or an empty string. */
+std::string
+specProblem(const SweepSpec &spec)
 {
     auto known = presets::names();
-    for (const std::string &p : spec.presets) {
-        if (std::find(known.begin(), known.end(), p) == known.end()) {
-            if (err != nullptr)
-                *err = "unknown preset '" + p + "'";
-            return false;
-        }
+    for (const std::string &p : spec.presets)
+        if (std::find(known.begin(), known.end(), p) == known.end())
+            return "unknown preset '" + p + "'";
+    for (harness::Pattern p : spec.patterns) {
+        harness::Stimulus stim;
+        stim.pattern = p;
+        stim.tracePath = spec.tracePath;
+        std::string why = harness::checkStimulus(stim, spec.channels);
+        if (!why.empty())
+            return why;
+        if (p == harness::Pattern::Trace && spec.warmupRequests > 0)
+            return "the trace pattern does not support warm-up";
     }
-    bool has_trace = false;
-    for (const std::string &p : spec.patterns) {
-        if (p != "linear" && p != "random" && p != "dram" &&
-            p != "trace") {
-            if (err != nullptr)
-                *err = "unknown pattern '" + p + "'";
-            return false;
-        }
-        has_trace = has_trace || p == "trace";
-    }
-    if (has_trace && spec.tracePath.empty()) {
-        if (err != nullptr)
-            *err = "the trace pattern needs a trace path";
-        return false;
-    }
-    if (has_trace && spec.warmupRequests > 0) {
-        if (err != nullptr)
-            *err = "the trace pattern does not support warm-up";
-        return false;
-    }
-    if (spec.traceScale <= 0) {
-        if (err != nullptr)
-            *err = "trace time scale must be positive";
-        return false;
-    }
-    for (unsigned pct : spec.readPcts) {
-        if (pct > 100) {
-            if (err != nullptr)
-                *err = "read-pct above 100";
-            return false;
-        }
-    }
+    if (spec.traceScale <= 0)
+        return "trace time scale must be positive";
+    for (unsigned pct : spec.readPcts)
+        if (pct > 100)
+            return "read-pct above 100";
     if (!spec.plugins.empty()) {
         DRAMCtrlConfig probe;
         std::string perr;
-        if (!plugin::parsePluginList(spec.plugins, probe, perr)) {
-            if (err != nullptr)
-                *err = perr;
-            return false;
-        }
-        if (probe.hasPlugin("refmgr-pb")) {
-            for (harness::CtrlModel m : spec.models) {
-                if (m == harness::CtrlModel::Cycle) {
-                    if (err != nullptr)
-                        *err = "refmgr-pb is event-model-only; drop "
-                               "the cycle model axis";
-                    return false;
-                }
-            }
-        }
+        if (!plugin::parsePluginList(spec.plugins, probe, perr))
+            return perr;
+        if (probe.hasPlugin("refmgr-pb"))
+            for (harness::CtrlModel m : spec.models)
+                if (m == harness::CtrlModel::Cycle)
+                    return "refmgr-pb is event-model-only; drop the "
+                           "cycle model axis";
     }
     if (spec.presets.empty() || spec.patterns.empty() ||
         spec.pages.empty() || spec.mappings.empty() ||
         spec.readPcts.empty() || spec.ittNs.empty() ||
-        spec.models.empty()) {
-        if (err != nullptr)
-            *err = "empty sweep axis";
-        return false;
-    }
-    if (spec.channels == 0) {
-        if (err != nullptr)
-            *err = "channels must be at least 1";
-        return false;
-    }
-    if (spec.channels > 1) {
-        for (const std::string &p : spec.patterns) {
-            if (p == "dram") {
-                if (err != nullptr)
-                    *err = "the dram pattern is single-channel; "
-                           "multi-channel sweeps use linear/random";
-                return false;
-            }
-        }
-        if (spec.warmupRequests > 0) {
-            if (err != nullptr)
-                *err = "multi-channel sweeps do not support warm-up";
-            return false;
-        }
-    }
-    return true;
+        spec.models.empty())
+        return "empty sweep axis";
+    if (spec.channels == 0)
+        return "channels must be at least 1";
+    if (spec.channels > 1 && spec.warmupRequests > 0)
+        return "multi-channel sweeps do not support warm-up";
+    return "";
+}
+
+} // namespace
+
+bool
+checkSpec(const SweepSpec &spec, std::string *err)
+{
+    std::string why = specProblem(spec);
+    if (!why.empty() && err != nullptr)
+        *err = why;
+    return why.empty();
 }
 
 namespace {
 
-/** A built-but-not-yet-run sweep point system. */
-struct BuiltPoint
+/** The controller configuration of @p point. */
+DRAMCtrlConfig
+configOf(const SweepPoint &point, const SweepSpec &spec)
 {
-    std::unique_ptr<harness::SingleChannelSystem> tb;
-    BaseGen *gen = nullptr;
-    TracePlayer *player = nullptr; ///< set instead of gen for "trace"
-
-    bool
-    done() const
-    {
-        return gen != nullptr ? gen->done() : player->done();
+    DRAMCtrlConfig cfg = presets::byName(point.preset);
+    cfg.pagePolicy = point.page;
+    cfg.addrMapping = point.mapping;
+    cfg.writeLowThreshold = 0.0; // drain fully so every run terminates
+    if (!spec.plugins.empty()) {
+        std::string perr;
+        if (!plugin::parsePluginList(spec.plugins, cfg, perr))
+            fatal("%s", perr.c_str());
     }
-};
+    cfg.check();
+    return cfg;
+}
+
+/** The traffic of @p point, with its measured budget and seed. */
+harness::Stimulus
+stimulusOf(const SweepPoint &point, const SweepSpec &spec)
+{
+    harness::Stimulus s;
+    s.pattern = point.pattern;
+    s.readPct = point.readPct;
+    s.ittNs = point.ittNs;
+    s.requests = spec.requests;
+    s.seed = point.seed;
+    s.strideBytes = spec.strideBytes;
+    s.banks = spec.banks;
+    s.tracePath = spec.tracePath;
+    s.traceScale = spec.traceScale;
+    return s;
+}
 
 /** Per-point capture file: "<prefix><index>.dtrc". */
 std::string
@@ -166,163 +148,102 @@ capturePathOf(const SweepSpec &spec, const SweepPoint &point)
 }
 
 /**
- * Assemble the system for @p point with an explicit request budget and
- * seed (so the warm-up and measured phases can use the same assembly).
+ * The row of a finished run: bandwidth summed and bus utilisation and
+ * row-hit rate averaged (unweighted: the generators drive the
+ * channels symmetrically) over the controllers @p ctrls.
+ */
+SweepRow
+collectRow(const SweepPoint &point, Simulator &sim,
+           const std::vector<MemCtrlBase *> &ctrls,
+           const harness::Requestors &reqs)
+{
+    SweepRow row;
+    row.point = point;
+    row.simulatedUs = toSeconds(sim.curTick()) * 1e6;
+    double hit = 0;
+    for (MemCtrlBase *ctrl : ctrls) {
+        row.bandwidthGBs += ctrl->achievedBandwidthGBs();
+        row.busUtil += ctrl->busUtilisation();
+        if (point.model == harness::CtrlModel::Event)
+            hit += static_cast<DRAMCtrl *>(ctrl)
+                       ->ctrlStats()
+                       .rowHitRate.value();
+    }
+    row.busUtil /= static_cast<double>(ctrls.size());
+    if (point.model == harness::CtrlModel::Event)
+        row.rowHitRate = hit / static_cast<double>(ctrls.size());
+    row.avgReadLatencyNs = reqs.avgReadLatencyNs();
+    row.responses = reqs.responses();
+    return row;
+}
+
+/** A built-but-not-yet-run single-channel sweep point. */
+struct BuiltPoint
+{
+    std::unique_ptr<harness::SingleChannelSystem> tb;
+    harness::Requestors reqs;
+
+    void
+    run()
+    {
+        tb->runToCompletion([this] { return reqs.done(); });
+    }
+
+    SweepRow
+    finish(const SweepPoint &point)
+    {
+        tb->finishCapture();
+        return collectRow(point, tb->sim(), {&tb->ctrl()}, reqs);
+    }
+};
+
+/**
+ * Assemble the single-channel system for @p point with an explicit
+ * request budget and seed (so the warm-up and measured phases can use
+ * the same assembly).
  */
 BuiltPoint
 buildPoint(const SweepPoint &point, const SweepSpec &spec,
            std::uint64_t num_requests, std::uint64_t seed)
 {
-    DRAMCtrlConfig cfg = presets::byName(point.preset);
-    cfg.pagePolicy = point.page;
-    cfg.addrMapping = point.mapping;
-    cfg.writeLowThreshold = 0.0; // drain fully so every run terminates
-    if (!spec.plugins.empty()) {
-        std::string perr;
-        if (!plugin::parsePluginList(spec.plugins, cfg, perr))
-            fatal("%s", perr.c_str());
-    }
-    cfg.check();
-
     BuiltPoint built;
-    built.tb =
-        std::make_unique<harness::SingleChannelSystem>(cfg, point.model);
+    built.tb = std::make_unique<harness::SingleChannelSystem>(
+        configOf(point, spec), point.model);
     if (!spec.traceCapturePrefix.empty())
         built.tb->enableCapture(capturePathOf(spec, point));
-
-    if (point.pattern == "trace") {
-        built.player = &built.tb->addGen<TracePlayer>(
-            makeTracePlayerConfig(spec.tracePath, spec.traceScale));
-        return built;
-    }
-
-    GenConfig gc;
-    gc.windowSize =
-        std::min<std::uint64_t>(cfg.org.channelCapacity, 1ULL << 26);
-    gc.readPct = point.readPct;
-    gc.minITT = gc.maxITT = fromNs(point.ittNs);
-    gc.numRequests = num_requests;
-    gc.seed = seed;
-
-    if (point.pattern == "linear") {
-        built.gen = &built.tb->addGen<LinearGen>(gc);
-    } else if (point.pattern == "random") {
-        built.gen = &built.tb->addGen<RandomGen>(gc);
-    } else if (point.pattern == "dram") {
-        DramGenConfig dgc;
-        static_cast<GenConfig &>(dgc) = gc;
-        dgc.org = cfg.org;
-        dgc.mapping = cfg.addrMapping;
-        dgc.strideBytes = spec.strideBytes;
-        dgc.numBanksTarget = spec.banks;
-        built.gen = &built.tb->addGen<DramGen>(dgc);
-    } else {
-        fatal("unknown sweep pattern '%s'", point.pattern.c_str());
-    }
+    harness::Stimulus stim = stimulusOf(point, spec);
+    stim.requests = num_requests;
+    stim.seed = seed;
+    built.reqs = harness::attachStimulus(*built.tb, stim);
     return built;
-}
-
-SweepRow
-collectRow(const SweepPoint &point, BuiltPoint &built)
-{
-    harness::SingleChannelSystem &tb = *built.tb;
-    tb.finishCapture();
-
-    SweepRow row;
-    row.point = point;
-    row.simulatedUs = toSeconds(tb.sim().curTick()) * 1e6;
-    row.bandwidthGBs = tb.ctrl().achievedBandwidthGBs();
-    row.busUtil = tb.ctrl().busUtilisation();
-    if (point.model == harness::CtrlModel::Event)
-        row.rowHitRate = tb.eventCtrl().ctrlStats().rowHitRate.value();
-    if (built.gen != nullptr) {
-        row.avgReadLatencyNs = built.gen->avgReadLatencyNs();
-        row.responses = static_cast<std::uint64_t>(
-            built.gen->genStats().recvResponses.value());
-    } else {
-        row.avgReadLatencyNs = built.player->avgReadLatencyNs();
-        row.responses = built.player->responses();
-    }
-    return row;
 }
 
 /**
  * One sharded multi-channel point: spec.channels controllers behind
- * the crossbar, one generator per channel, spec.simThreads workers.
- * The row depends only on (point, spec) — never on the thread count.
+ * the crossbar, spec.simThreads workers. The row depends only on
+ * (point, spec) — never on the thread count.
  */
 SweepRow
 runMultiPoint(const SweepPoint &point, const SweepSpec &spec)
 {
-    DRAMCtrlConfig cfg = presets::byName(point.preset);
-    cfg.pagePolicy = point.page;
-    cfg.addrMapping = point.mapping;
-    cfg.writeLowThreshold = 0.0; // drain fully so every run terminates
-    if (!spec.plugins.empty()) {
-        std::string perr;
-        if (!plugin::parsePluginList(spec.plugins, cfg, perr))
-            fatal("%s", perr.c_str());
-    }
-    cfg.check();
-
     harness::MultiChannelConfig mcfg;
     mcfg.channels = spec.channels;
-    mcfg.ctrl = cfg;
+    mcfg.ctrl = configOf(point, spec);
     mcfg.model = point.model;
     mcfg.simThreads = spec.simThreads;
     harness::MultiChannelSystem mc(mcfg);
     if (!spec.traceCapturePrefix.empty())
         mc.enableCapture(capturePathOf(spec, point));
-
-    if (point.pattern == "trace") {
-        harness::addTracePlayers(mc, spec.tracePath, spec.traceScale);
-    } else {
-        GenConfig gc;
-        gc.readPct = point.readPct;
-        gc.minITT = gc.maxITT = fromNs(point.ittNs);
-        gc.numRequests =
-            std::max<std::uint64_t>(1, spec.requests / spec.channels);
-        gc.windowSize =
-            std::min<std::uint64_t>(mc.totalCapacity(), 1ULL << 26);
-        for (unsigned i = 0; i < spec.channels; ++i) {
-            GenConfig g = harness::sliceGenWindow(gc, i, spec.channels,
-                                                  mc.totalCapacity());
-            g.seed = deriveSeed(point.seed, i);
-            if (point.pattern == "linear")
-                mc.addGen<LinearGen>(g);
-            else if (point.pattern == "random")
-                mc.addGen<RandomGen>(g);
-            else
-                fatal("unknown sweep pattern '%s'",
-                      point.pattern.c_str());
-        }
-    }
+    harness::Requestors reqs =
+        harness::attachStimulus(mc, stimulusOf(point, spec));
 
     mc.runToCompletion();
     mc.finishCapture();
 
-    SweepRow row;
-    row.point = point;
-    row.simulatedUs = toSeconds(mc.sim().curTick()) * 1e6;
-    row.bandwidthGBs = mc.totalBandwidthGBs();
-    row.avgReadLatencyNs = mc.avgReadLatencyNs();
-    row.busUtil = mc.avgBusUtil();
-    if (point.model == harness::CtrlModel::Event) {
-        // Unweighted mean over the channels (the generators drive
-        // them symmetrically).
-        double hit = 0;
-        for (unsigned ch = 0; ch < mc.numChannels(); ++ch)
-            hit += static_cast<DRAMCtrl &>(mc.ctrl(ch))
-                       .ctrlStats()
-                       .rowHitRate.value();
-        row.rowHitRate = hit / mc.numChannels();
-    }
-    for (unsigned i = 0; i < mc.numGens(); ++i)
-        row.responses += static_cast<std::uint64_t>(
-            mc.gen(i).genStats().recvResponses.value());
-    for (unsigned i = 0; i < mc.numPlayers(); ++i)
-        row.responses += mc.player(i).responses();
-    return row;
+    std::vector<MemCtrlBase *> ctrls;
+    for (unsigned ch = 0; ch < mc.numChannels(); ++ch)
+        ctrls.push_back(&mc.ctrl(ch));
+    return collectRow(point, mc.sim(), ctrls, reqs);
 }
 
 /**
@@ -350,11 +271,12 @@ runSweepPoint(const SweepPoint &point, const SweepSpec &spec)
     if (spec.channels > 1)
         return runMultiPoint(point, spec);
 
-    if (spec.warmupRequests == 0 || point.pattern == "trace") {
+    if (spec.warmupRequests == 0 ||
+        point.pattern == harness::Pattern::Trace) {
         BuiltPoint built =
             buildPoint(point, spec, spec.requests, point.seed);
-        built.tb->runToCompletion([&] { return built.done(); });
-        return collectRow(point, built);
+        built.run();
+        return built.finish(point);
     }
 
     // Cold warm-up: run the group's warm-up stream inline, reset the
@@ -362,11 +284,11 @@ runSweepPoint(const SweepPoint &point, const SweepSpec &spec)
     BuiltPoint built =
         buildPoint(point, spec, spec.warmupRequests,
                    warmupSeedOf(spec, configGroupOf(point, spec)));
-    built.tb->runToCompletion([&] { return built.gen->done(); });
+    built.run();
     built.tb->sim().resetStats();
-    built.gen->extendRun(spec.requests, point.seed);
-    built.tb->runToCompletion([&] { return built.gen->done(); });
-    return collectRow(point, built);
+    built.reqs.gens[0]->extendRun(spec.requests, point.seed);
+    built.run();
+    return built.finish(point);
 }
 
 std::string
@@ -377,7 +299,7 @@ captureWarmupSnapshot(const SweepPoint &point, const SweepSpec &spec)
     BuiltPoint built =
         buildPoint(point, spec, spec.warmupRequests,
                    warmupSeedOf(spec, configGroupOf(point, spec)));
-    built.tb->runToCompletion([&] { return built.gen->done(); });
+    built.run();
     built.tb->sim().resetStats();
     return ckpt::saveToString(built.tb->sim());
 }
@@ -390,9 +312,9 @@ runMeasuredFromSnapshot(const SweepPoint &point, const SweepSpec &spec,
         buildPoint(point, spec, spec.warmupRequests,
                    warmupSeedOf(spec, configGroupOf(point, spec)));
     ckpt::restoreFromString(built.tb->sim(), snapshot);
-    built.gen->extendRun(spec.requests, point.seed);
-    built.tb->runToCompletion([&] { return built.gen->done(); });
-    return collectRow(point, built);
+    built.reqs.gens[0]->extendRun(spec.requests, point.seed);
+    built.run();
+    return built.finish(point);
 }
 
 std::string
@@ -410,7 +332,7 @@ toCsv(const SweepRow &row)
     return formatString(
         "%zu,%s,%s,%s,%s,%u,%.3f,%s,%u,%llu,%.3f,%.4f,%.2f,%.4f,"
         "%.4f,%llu",
-        pt.index, pt.preset.c_str(), pt.pattern.c_str(),
+        pt.index, pt.preset.c_str(), harness::toString(pt.pattern),
         toString(pt.page), toString(pt.mapping), pt.readPct, pt.ittNs,
         harness::toString(pt.model), pt.seedIndex,
         static_cast<unsigned long long>(pt.seed), row.simulatedUs,
@@ -431,7 +353,7 @@ toJsonl(const SweepRow &row)
         "\"bandwidth_gbs\": %.4f, \"avg_read_latency_ns\": %.2f, "
         "\"bus_util\": %.4f, \"row_hit_rate\": %.4f, "
         "\"responses\": %llu}",
-        pt.index, pt.preset.c_str(), pt.pattern.c_str(),
+        pt.index, pt.preset.c_str(), harness::toString(pt.pattern),
         toString(pt.page), toString(pt.mapping), pt.readPct, pt.ittNs,
         harness::toString(pt.model), pt.seedIndex,
         static_cast<unsigned long long>(pt.seed), row.simulatedUs,

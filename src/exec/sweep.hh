@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "dram/dram_config.hh"
+#include "harness/stimulus.hh"
 #include "harness/testbench.hh"
 
 namespace dramctrl {
@@ -29,8 +30,7 @@ namespace exec {
 struct SweepSpec
 {
     std::vector<std::string> presets{"ddr3_1333"};
-    /** Traffic patterns: "linear", "random", "dram" or "trace". */
-    std::vector<std::string> patterns{"random"};
+    std::vector<harness::Pattern> patterns{harness::Pattern::Random};
     std::vector<PagePolicy> pages{PagePolicy::Open};
     std::vector<AddrMapping> mappings{AddrMapping::RoRaBaCoCh};
     std::vector<unsigned> readPcts{100};
@@ -40,7 +40,7 @@ struct SweepSpec
     unsigned numSeeds = 1;
     std::uint64_t masterSeed = 1;
 
-    /** Fixed per-run stimulus parameters. */
+    /** Fixed per-run stimulus parameters (see harness::Stimulus). */
     std::uint64_t requests = 5000;
     std::uint64_t strideBytes = 256;
     unsigned banks = 4;
@@ -59,7 +59,7 @@ struct SweepSpec
      * split evenly — and @ref simThreads worker threads execute it.
      * Rows are byte-identical for every simThreads value, so the two
      * parallelism axes (outer --jobs, inner sim threads) compose
-     * freely. Multi-channel points support the linear/random patterns
+     * freely. Multi-channel points support every pattern but dram,
      * and no warm-up phase.
      */
     unsigned channels = 1;
@@ -101,7 +101,7 @@ struct SweepPoint
 {
     std::size_t index = 0; ///< position in the expanded grid
     std::string preset;
-    std::string pattern;
+    harness::Pattern pattern = harness::Pattern::Random;
     PagePolicy page = PagePolicy::Open;
     AddrMapping mapping = AddrMapping::RoRaBaCoCh;
     unsigned readPct = 100;
@@ -135,15 +135,16 @@ std::vector<SweepPoint> expandGrid(const SweepSpec &spec);
 
 /**
  * Simulate one point to completion. Deterministic: depends only on
- * @p point and @p spec, never on threads or timing. fatal()s on
- * unknown preset/pattern names (validate the spec up front with
- * checkSpec() for a softer failure mode).
+ * @p point and @p spec, never on threads or timing. fatal()s on an
+ * unknown preset name or a stimulus the point's system cannot take
+ * (validate the spec up front with checkSpec() for a softer failure
+ * mode).
  */
 SweepRow runSweepPoint(const SweepPoint &point, const SweepSpec &spec);
 
 /**
- * Validate names in @p spec without running anything.
- * @return false and fill @p err with the first offending name.
+ * Validate @p spec without running anything.
+ * @return false and fill @p err with the first problem found.
  */
 bool checkSpec(const SweepSpec &spec, std::string *err);
 

@@ -99,7 +99,7 @@ MultiChannelSystem::finishCapture()
 TracePlayer &
 MultiChannelSystem::addPlayer(const TracePlayerConfig &pcfg)
 {
-    unsigned index = numGens() + numPlayers();
+    unsigned index = numGens() + static_cast<unsigned>(players_.size());
     RequestorId id = static_cast<RequestorId>(index);
     Simulator::ShardScope scope(sim_, index % sim_.numShards());
     auto player = std::make_unique<TracePlayer>(
@@ -170,25 +170,6 @@ MultiChannelSystem::avgBusUtil() const
     return total / static_cast<double>(ctrls_.size());
 }
 
-double
-MultiChannelSystem::avgReadLatencyNs() const
-{
-    // Weight each generator by its responded-read count so the mean
-    // matches a pooled sample.
-    double weighted = 0, reads = 0;
-    for (const auto &gen : gens_) {
-        double n = gen->genStats().readLatencyHist.count();
-        weighted += gen->avgReadLatencyNs() * n;
-        reads += n;
-    }
-    for (const auto &player : players_) {
-        double n = static_cast<double>(player->readResponses());
-        weighted += player->avgReadLatencyNs() * n;
-        reads += n;
-    }
-    return reads > 0 ? weighted / reads : 0;
-}
-
 namespace {
 
 /**
@@ -244,22 +225,6 @@ systemPresetNames()
     for (const auto &p : kSystemPresets)
         out.emplace_back(p.name);
     return out;
-}
-
-unsigned
-addTracePlayers(MultiChannelSystem &mc, const std::string &path,
-                double time_scale)
-{
-    unsigned sources = 1;
-    if (traceFormatOf(path) == TraceFormat::Dtrc) {
-        TraceReader probe(path, /*verify_crc=*/false);
-        sources = probe.info().numSources;
-    }
-    for (unsigned s = 0; s < sources; ++s)
-        mc.addPlayer(makeTracePlayerConfig(
-            path, time_scale,
-            sources > 1 ? static_cast<int>(s) : -1));
-    return sources;
 }
 
 GenConfig

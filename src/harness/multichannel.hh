@@ -118,15 +118,10 @@ class MultiChannelSystem
     /**
      * Add a trace player on the next front port, sharded like a
      * generator. Used by .dtrc replay: one player per recorded source
-     * id, every player streaming the same file.
+     * id, every player streaming the same file (see
+     * harness/stimulus.hh).
      */
     TracePlayer &addPlayer(const TracePlayerConfig &pcfg);
-
-    unsigned numPlayers() const
-    {
-        return static_cast<unsigned>(players_.size());
-    }
-    TracePlayer &player(unsigned i) { return *players_.at(i); }
 
     /** All generators done, controllers drained, crossbar idle. */
     bool drained() const;
@@ -146,9 +141,6 @@ class MultiChannelSystem
     /** Bus utilisation averaged over the channels. */
     double avgBusUtil() const;
 
-    /** Mean end-to-end read latency over all generators, ns. */
-    double avgReadLatencyNs() const;
-
   private:
     MultiChannelConfig cfg_;
     Simulator sim_;
@@ -163,17 +155,6 @@ class MultiChannelSystem
     /** Stable storage: controllers hold pointers into this. */
     std::unique_ptr<std::vector<CmdLogger>> cmdLoggers_;
 };
-
-/**
- * Replay @p path (text or .dtrc) into @p mc: one player per recorded
- * source id — each streaming the same file, filtered to its own
- * records — sharded round-robin like generators would be, so the
- * original per-requestor streams reappear whatever the thread count.
- *
- * @return the number of players added.
- */
-unsigned addTracePlayers(MultiChannelSystem &mc, const std::string &path,
-                         double time_scale = 1.0);
 
 /**
  * Carve the generator address windows: generator @p i of @p n plays

@@ -25,15 +25,6 @@ writeTs(std::ostream &os, Tick tick)
     os << buf;
 }
 
-// Track and event names are config-derived (preset names, object
-// names) and may contain anything; the shared escaper also covers
-// control characters, which the old local version did not.
-void
-writeJsonString(std::ostream &os, const std::string &s)
-{
-    writeJsonEscaped(os, s);
-}
-
 } // namespace
 
 void
@@ -149,7 +140,7 @@ ChromeTraceWriter::write(std::ostream &os) const
         os << ",\n{\"name\": \"thread_name\", \"ph\": \"M\", "
               "\"pid\": 1, \"tid\": "
            << tid << ", \"args\": {\"name\": ";
-        writeJsonString(os, trackNames_[tid]);
+        writeJsonEscaped(os, trackNames_[tid]);
         os << "}}";
     }
 
@@ -161,7 +152,7 @@ ChromeTraceWriter::write(std::ostream &os) const
           case 'b':
             os << ", \"cat\": \"pkt\", \"id\": " << ev.id
                << ", \"name\": ";
-            writeJsonString(os, ev.name);
+            writeJsonEscaped(os, ev.name);
             break;
           case 'e':
             os << ", \"cat\": \"pkt\", \"id\": " << ev.id
@@ -169,13 +160,13 @@ ChromeTraceWriter::write(std::ostream &os) const
             break;
           case 'i':
             os << ", \"s\": \"t\", \"name\": ";
-            writeJsonString(os, ev.name);
+            writeJsonEscaped(os, ev.name);
             break;
           case 'C':
             os << ", \"name\": ";
-            writeJsonString(os, ev.name);
+            writeJsonEscaped(os, ev.name);
             os << ", \"args\": {";
-            writeJsonString(os, ev.argKey);
+            writeJsonEscaped(os, ev.argKey);
             os << ": " << ev.argValue << "}";
             break;
           default:

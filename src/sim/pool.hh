@@ -22,19 +22,19 @@
  * freeing thread's freelist. Two consequences keep that safe:
  *
  *  - Chunk storage is immortal. When a pool dies (thread exit), its
- *    chunks move to a process-lifetime quarantine instead of being
- *    freed, so a migrated slot sitting in another thread's freelist
- *    can never dangle.
+ *    chunks move to a process-lifetime store instead of being freed,
+ *    so a migrated slot sitting in another thread's freelist can never
+ *    dangle. Its free slots go to the same store, and the next
+ *    thread's pool that runs out of storage takes a dead pool's
+ *    freelist over before it carves a fresh chunk: a process that
+ *    builds and tears down many multi-threaded systems reuses its
+ *    exited workers' storage instead of growing with every system.
  *  - inUse is signed: a thread that frees more foreign slots than it
- *    allocated legitimately reads negative, and the cross-thread
- *    aggregate stays exact.
+ *    allocated legitimately reads negative.
  *
  * Counters are exposed per thread (poolStats()) so tests can assert
  * that a warmed-up simulation performs no fresh (chunk-carving)
- * allocations, and aggregated across threads (aggregatedPoolStats())
- * for whole-batch accounting. Aggregation may only be called while no
- * other thread is allocating (e.g. after a BatchRunner::run returned,
- * which synchronises with its workers).
+ * allocations.
  */
 
 #ifndef DRAMCTRL_SIM_POOL_H
@@ -56,8 +56,7 @@ struct PoolStats
     std::size_t capacity = 0;
     /**
      * Slots currently handed out. Signed: cross-thread frees make a
-     * single thread's count transiently negative; the aggregate over
-     * all threads is always the true live count.
+     * single thread's count transiently negative.
      */
     std::int64_t inUse = 0;
     /** Total allocate() calls. */
@@ -70,90 +69,13 @@ struct PoolStats
     std::uint64_t freshAllocs = 0;
 };
 
-namespace detail {
-
-/**
- * Per-type registry of every live thread's pool counters, plus the
- * folded totals of pools whose threads have exited. Guarded by a
- * mutex; only touched on pool construction/destruction and by
- * aggregate(), never on the allocation fast path.
- */
-class PoolStatsRegistry
-{
-  public:
-    void
-    attach(const PoolStats *stats)
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        live_.push_back(stats);
-    }
-
-    void
-    detach(const PoolStats *stats)
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        for (auto it = live_.begin(); it != live_.end(); ++it) {
-            if (*it == stats) {
-                retired_.capacity += stats->capacity;
-                retired_.inUse += stats->inUse;
-                retired_.totalAllocs += stats->totalAllocs;
-                retired_.freshAllocs += stats->freshAllocs;
-                live_.erase(it);
-                return;
-            }
-        }
-    }
-
-    /**
-     * Sum of the retired totals and every live thread's counters.
-     * Caller must ensure the live threads are quiescent (their
-     * counters are plain fields, synchronised only by thread
-     * join/condvar edges).
-     */
-    PoolStats
-    aggregate() const
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        PoolStats sum = retired_;
-        for (const PoolStats *s : live_) {
-            sum.capacity += s->capacity;
-            sum.inUse += s->inUse;
-            sum.totalAllocs += s->totalAllocs;
-            sum.freshAllocs += s->freshAllocs;
-        }
-        return sum;
-    }
-
-  private:
-    mutable std::mutex mutex_;
-    std::vector<const PoolStats *> live_;
-    PoolStats retired_;
-};
-
-/**
- * Process-lifetime store for the chunk storage of pools whose threads
- * have exited. Slots handed to other threads' freelists point into
- * this storage, so it must never be released; the store itself is an
- * immortal heap object (reachable through a static pointer, so leak
- * checkers count it as live).
- */
-inline void
-retainPoolStorage(std::shared_ptr<void> chunks)
-{
-    static std::mutex *mutex = new std::mutex;
-    static auto *store = new std::vector<std::shared_ptr<void>>;
-    std::lock_guard<std::mutex> lock(*mutex);
-    store->push_back(std::move(chunks));
-}
-
-} // namespace detail
-
 /**
  * A growing freelist pool handing out raw storage for objects of type
  * @p T. Storage is carved from geometrically growing chunks and never
- * returned to the system (pool destruction quarantines them — see
- * detail::retainPoolStorage), so recycled slots keep stable addresses
- * for the life of the process even when they migrate across threads.
+ * returned to the system (a dying pool hands its chunks and free slots
+ * to a process-lifetime store, see ~ObjectPool()), so recycled slots
+ * keep stable addresses for the life of the process even when they
+ * migrate across threads.
  */
 template <typename T>
 class ObjectPool
@@ -163,19 +85,36 @@ class ObjectPool
     static ObjectPool &
     instance()
     {
-        static thread_local ObjectPool pool;
+        static thread_local ObjectPool pool(/*adopt_dead=*/true);
         return pool;
     }
 
-    ObjectPool() { registry().attach(&stats_); }
+    /**
+     * @param adopt_dead take the free slots of dead pools over before
+     *        carving fresh storage. The per-thread instances do; a
+     *        standalone pool (a test's) always starts empty.
+     */
+    explicit ObjectPool(bool adopt_dead = false) : adoptDead_(adopt_dead)
+    {}
 
+    /**
+     * Hand the chunks (immortal from here on) and every free slot,
+     * the uncarved tail of the last chunk included, to the store that
+     * later pools adopt from.
+     */
     ~ObjectPool()
     {
-        registry().detach(&stats_);
-        if (!chunks_.empty())
-            detail::retainPoolStorage(std::make_shared<
-                std::vector<std::unique_ptr<Slot[]>>>(
-                std::move(chunks_)));
+        Slot *head = freeHead_;
+        for (std::size_t i = chunkUsed_; i < chunkSize_; ++i) {
+            chunks_.back()[i].next = head;
+            head = &chunks_.back()[i];
+        }
+        DeadPools &dead = deadPools();
+        std::lock_guard<std::mutex> lock(dead.mutex);
+        for (auto &chunk : chunks_)
+            dead.chunks.push_back(std::move(chunk));
+        if (head != nullptr)
+            dead.freeLists.push_back(head);
     }
 
     ObjectPool(const ObjectPool &) = delete;
@@ -187,6 +126,8 @@ class ObjectPool
     {
         ++stats_.totalAllocs;
         ++stats_.inUse;
+        if (freeHead_ == nullptr && adoptDead_ && chunkUsed_ == chunkSize_)
+            freeHead_ = adoptDeadFreeList();
         if (freeHead_ != nullptr) {
             Slot *slot = freeHead_;
             freeHead_ = slot->next;
@@ -211,17 +152,6 @@ class ObjectPool
 
     const PoolStats &stats() const { return stats_; }
 
-    /**
-     * Counters summed over every thread that ever pooled a T (live
-     * threads plus folded totals of exited ones). Only meaningful
-     * while no other thread is allocating.
-     */
-    static PoolStats
-    aggregatedStats()
-    {
-        return registry().aggregate();
-    }
-
   private:
     union Slot
     {
@@ -229,16 +159,39 @@ class ObjectPool
         alignas(T) unsigned char storage[sizeof(T)];
     };
 
-    /**
-     * The process-wide counter registry for T. A function-local
-     * static (not thread_local): constructed before the first pool
-     * attaches, destroyed after the main thread's pool detaches.
-     */
-    static detail::PoolStatsRegistry &
-    registry()
+    /** What dead pools of T left behind. */
+    struct DeadPools
     {
-        static detail::PoolStatsRegistry reg;
-        return reg;
+        std::mutex mutex;
+        /** Never freed: migrated slots may still point into them. */
+        std::vector<std::unique_ptr<Slot[]>> chunks;
+        /** Freelists waiting for a pool to take them over. */
+        std::vector<Slot *> freeLists;
+    };
+
+    /**
+     * The process-wide store for T, an immortal heap object (thread
+     * pools die during thread exit, which may outlive statics; leak
+     * checkers see it as reachable through the static pointer).
+     */
+    static DeadPools &
+    deadPools()
+    {
+        static DeadPools *dead = new DeadPools;
+        return *dead;
+    }
+
+    /** One dead pool's freelist, or nullptr when none is waiting. */
+    static Slot *
+    adoptDeadFreeList()
+    {
+        DeadPools &dead = deadPools();
+        std::lock_guard<std::mutex> lock(dead.mutex);
+        if (dead.freeLists.empty())
+            return nullptr;
+        Slot *head = dead.freeLists.back();
+        dead.freeLists.pop_back();
+        return head;
     }
 
     void
@@ -258,6 +211,7 @@ class ObjectPool
     std::size_t chunkSize_ = 0;
     std::size_t chunkUsed_ = 0;
     std::size_t nextChunk_ = 64;
+    bool adoptDead_;
     PoolStats stats_;
 };
 
@@ -301,12 +255,6 @@ class Pooled
     static const PoolStats &poolStats()
     {
         return ObjectPool<T>::instance().stats();
-    }
-
-    /** Counters summed across threads (see ObjectPool). */
-    static PoolStats aggregatedPoolStats()
-    {
-        return ObjectPool<T>::aggregatedStats();
     }
 };
 

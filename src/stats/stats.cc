@@ -109,19 +109,6 @@ jsonNumber(std::ostream &os, double v)
         os << "null";
 }
 
-/** Emit a JSON string with minimal escaping. */
-void
-jsonString(std::ostream &os, const std::string &s)
-{
-    os << '"';
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            os << '\\';
-        os << c;
-    }
-    os << '"';
-}
-
 } // namespace
 
 void
@@ -302,7 +289,7 @@ Group::dumpJsonStats(std::ostream &os) const
         if (!first)
             os << ", ";
         first = false;
-        jsonString(os, s->name());
+        writeJsonEscaped(os, s->name());
         os << ": ";
         s->dumpJson(os);
     }
@@ -310,7 +297,7 @@ Group::dumpJsonStats(std::ostream &os) const
         if (!first)
             os << ", ";
         first = false;
-        jsonString(os, g->name());
+        writeJsonEscaped(os, g->name());
         os << ": ";
         g->dumpJsonStats(os);
     }

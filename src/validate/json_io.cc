@@ -4,36 +4,14 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "sim/logging.hh"
+
 namespace dramctrl {
 namespace validate {
 
 namespace {
 
 const Json kNull;
-
-void
-appendEscaped(std::string &out, const std::string &s)
-{
-    out += '"';
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          case '\r': out += "\\r"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    out += '"';
-}
 
 struct Parser
 {
@@ -95,17 +73,31 @@ struct Parser
                   case 'u': {
                     if (end - p < 5)
                         return fail("short \\u escape");
-                    char buf[5] = {p[1], p[2], p[3], p[4], 0};
-                    auto code = static_cast<unsigned>(
-                        std::strtoul(buf, nullptr, 16));
-                    // Repro files are ASCII; keep it simple.
-                    out += static_cast<char>(code & 0x7f);
+                    unsigned code = 0;
+                    for (int i = 1; i <= 4; ++i) {
+                        int c = static_cast<unsigned char>(p[i]);
+                        if (!std::isxdigit(c))
+                            return fail("non-hex digit in \\u escape");
+                        code = code * 16 +
+                               static_cast<unsigned>(
+                                   std::isdigit(c)
+                                       ? c - '0'
+                                       : std::tolower(c) - 'a' + 10);
+                    }
+                    // Config and repro documents are ASCII: a wider
+                    // code point would have to be folded to one byte,
+                    // and a folded "op\u00e5n" must not read as "open".
+                    if (code > 0x7f)
+                        return fail("non-ASCII \\u escape");
+                    out += static_cast<char>(code);
                     p += 4;
                     break;
                   }
                   default: return fail("unknown escape");
                 }
                 ++p;
+            } else if (static_cast<unsigned char>(*p) < 0x20) {
+                return fail("raw control character in string");
             } else {
                 out += *p++;
             }
@@ -288,7 +280,7 @@ Json::dumpTo(std::string &out, int indent, int depth) const
         out += buf;
         break;
       }
-      case Type::String: appendEscaped(out, str_); break;
+      case Type::String: out += jsonEscaped(str_); break;
       case Type::Array: {
         out += '[';
         bool first = true;
@@ -312,7 +304,7 @@ Json::dumpTo(std::string &out, int indent, int depth) const
                 out += ',';
             first = false;
             newline(depth + 1);
-            appendEscaped(out, k);
+            out += jsonEscaped(k);
             out += indent >= 0 ? ": " : ":";
             v.dumpTo(out, indent, depth + 1);
         }

@@ -5,11 +5,8 @@
 #include <sstream>
 
 #include "dram/cmd_log.hh"
-#include "exec/batch_runner.hh"
 #include "harness/multichannel.hh"
 #include "sim/logging.hh"
-#include "trafficgen/linear_gen.hh"
-#include "trafficgen/random_gen.hh"
 
 namespace dramctrl {
 namespace validate {
@@ -23,7 +20,8 @@ sampleShardCase(Random &rng)
     // 2..8 workers; the engine clamps to the channel count, so a draw
     // above it exercises the clamping path too.
     sc.simThreads = static_cast<unsigned>(rng.uniform(2, 8));
-    sc.pattern = rng.uniform(0, 1) == 0 ? "linear" : "random";
+    sc.pattern = rng.uniform(0, 1) == 0 ? harness::Pattern::Linear
+                                        : harness::Pattern::Random;
     const unsigned pct_choices[] = {0, 50, 100};
     sc.readPct = pct_choices[rng.uniform(0, 2)];
     sc.ittNs = 2.0 + static_cast<double>(rng.uniform(0, 6));
@@ -38,7 +36,8 @@ summarize(const ShardCase &sc)
     return formatString(
         "%u channels, %u threads, %s %u%% reads, itt %.0f ns, "
         "%llu reqs/gen",
-        sc.channels, sc.simThreads, sc.pattern.c_str(), sc.readPct,
+        sc.channels, sc.simThreads, harness::toString(sc.pattern),
+        sc.readPct,
         sc.ittNs,
         static_cast<unsigned long long>(sc.requestsPerGen));
 }
@@ -77,21 +76,14 @@ runOnce(const DRAMCtrlConfig &cfg, const ShardCase &sc,
     mcfg.simThreads = threads;
     harness::MultiChannelSystem mc(mcfg);
 
-    GenConfig gc;
-    gc.readPct = sc.readPct;
-    gc.minITT = gc.maxITT = fromNs(sc.ittNs);
-    gc.numRequests = sc.requestsPerGen;
-    gc.windowSize =
-        std::min<std::uint64_t>(mc.totalCapacity(), 1ULL << 24);
-    for (unsigned i = 0; i < sc.channels; ++i) {
-        GenConfig g = harness::sliceGenWindow(gc, i, sc.channels,
-                                              mc.totalCapacity());
-        g.seed = exec::deriveSeed(sc.seed, i);
-        if (sc.pattern == "linear")
-            mc.addGen<LinearGen>(g);
-        else
-            mc.addGen<RandomGen>(g);
-    }
+    harness::Stimulus stim;
+    stim.pattern = sc.pattern;
+    stim.readPct = sc.readPct;
+    stim.ittNs = sc.ittNs;
+    stim.requests = sc.requestsPerGen * sc.channels;
+    stim.seed = sc.seed;
+    stim.windowBytes = 1ULL << 24;
+    harness::attachStimulus(mc, stim);
     std::vector<CmdLogger> &loggers = mc.attachCmdLoggers();
 
     ShardRun run;

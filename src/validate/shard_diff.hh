@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "dram/dram_config.hh"
+#include "harness/stimulus.hh"
 #include "sim/random.hh"
 
 namespace dramctrl {
@@ -38,8 +39,8 @@ struct ShardCase
     unsigned channels = 2;
     /** Worker threads of the parallel run (the reference uses 1). */
     unsigned simThreads = 2;
-    /** Traffic shape: "linear" or "random". */
-    std::string pattern = "random";
+    /** Traffic shape: linear or random. */
+    harness::Pattern pattern = harness::Pattern::Random;
     unsigned readPct = 100;
     double ittNs = 4.0;
     /** Requests injected by each per-channel generator. */

@@ -514,7 +514,7 @@ TEST(CkptWarmStart, ckpt_warm_rows_equal_cold_rows)
 {
     exec::SweepSpec spec;
     spec.presets = {"ddr3_1333", "lpddr3_1600"};
-    spec.patterns = {"random"};
+    spec.patterns = {harness::Pattern::Random};
     spec.numSeeds = 2;
     spec.requests = 200;
     spec.warmupRequests = 100;

@@ -232,7 +232,16 @@ INSTANTIATE_TEST_SUITE_P(
         MalformedCase{"fractional_plugin_uint",
                       R"({"plugins": [{"kind": "ecc",
                                        "eccDataBits": 64.5}]})",
-                      "plugins: 'eccDataBits'"}),
+                      "plugins: 'eccDataBits'"},
+        MalformedCase{"raw_control_character",
+                      "{\"controller\": {\"pagePolicy\": \"op\x01" "en\"}}",
+                      "raw control character"},
+        MalformedCase{"non_hex_unicode_escape",
+                      R"({"controller": {"pagePolicy": "op\uZZZZen"}})",
+                      "non-hex digit"},
+        MalformedCase{"non_ascii_unicode_escape",
+                      R"({"controller": {"pagePolicy": "op\u00e5n"}})",
+                      "non-ASCII"}),
     [](const ::testing::TestParamInfo<MalformedCase> &info) {
         return info.param.name;
     });

@@ -22,9 +22,9 @@
 
 #include "dram/dram_presets.hh"
 #include "dram/plugin/plugin.hh"
-#include "exec/batch_runner.hh"
 #include "harness/config_file.hh"
 #include "harness/multichannel.hh"
+#include "harness/stimulus.hh"
 #include "harness/testbench.hh"
 #include "trafficgen/linear_gen.hh"
 #include "trafficgen/random_gen.hh"
@@ -304,23 +304,12 @@ runSystemCase(const GoldenCase &c)
 
     harness::MultiChannelSystem mc(mcfg);
 
-    constexpr unsigned kTotalRequests = 768;
-    GenConfig gc;
-    gc.minITT = gc.maxITT = fromNs(6.0);
-    gc.numRequests =
-        std::max(1u, kTotalRequests / mcfg.channels);
-    gc.readPct = c.shape == "linear" ? 100 : 50;
-
-    std::vector<BaseGen *> gens;
-    for (unsigned i = 0; i < mcfg.channels; ++i) {
-        GenConfig g = harness::sliceGenWindow(gc, i, mcfg.channels,
-                                              mc.totalCapacity());
-        g.seed = exec::deriveSeed(7, i);
-        if (c.shape == "linear")
-            gens.push_back(&mc.addGen<LinearGen>(g));
-        else
-            gens.push_back(&mc.addGen<RandomGen>(g));
-    }
+    harness::Stimulus stim;
+    harness::fromString(c.shape, stim.pattern);
+    stim.readPct = c.shape == "linear" ? 100 : 50;
+    stim.requests = 768;
+    stim.seed = 7;
+    harness::attachStimulus(mc, stim);
 
     mc.runToCompletion();
 

@@ -14,6 +14,7 @@
 #include "sim/logging.hh"
 #include "sim/simulator.hh"
 #include "test_util.hh"
+#include "validate/json_io.hh"
 
 namespace dramctrl {
 namespace {
@@ -234,6 +235,28 @@ TEST_F(ObsTraceTest, JsonlSinkFormatAndEscaping)
     EXPECT_NE(out.find("{\"tick\": null, \"channel\": \"Port\""),
               std::string::npos)
         << out;
+}
+
+TEST_F(ObsTraceTest, JsonlSinkHostileMessagesRoundTrip)
+{
+    const std::string msg = "cr\r bell\x07 unit\x1f \"q\" \\ tab\t";
+    std::ostringstream os;
+    obs::JsonlSink sink(os);
+    sink.write(9, TraceChannel::DRAMCtrl, msg);
+    std::string line = os.str();
+    ASSERT_FALSE(line.empty());
+    ASSERT_EQ(line.back(), '\n');
+    line.pop_back();
+    for (char c : line)
+        ASSERT_GE(static_cast<unsigned char>(c), 0x20) << line;
+
+    validate::Json doc;
+    std::string err;
+    ASSERT_TRUE(validate::parseJson(line, doc, &err)) << err << "\n"
+                                                      << line;
+    EXPECT_EQ(doc["tick"].asUInt(), 9u);
+    EXPECT_EQ(doc["channel"].asString(), "DRAMCtrl");
+    EXPECT_EQ(doc["msg"].asString(), msg);
 }
 
 TEST_F(ObsTraceTest, WarnIsTickPrefixedWhileSimulatorActive)

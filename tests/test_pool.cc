@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "harness/testbench.hh"
@@ -72,6 +73,34 @@ TEST(ObjectPoolTest, GrowsAcrossChunksWithDistinctSlots)
         pool.allocate();
     EXPECT_EQ(pool.stats().capacity, cap);
     EXPECT_EQ(pool.stats().freshAllocs, 500u);
+}
+
+TEST(ObjectPoolTest, ExitedThreadsStorageIsReused)
+{
+    // Threads that come and go one after another (an engine's workers,
+    // system after system) must reuse the storage of the ones that
+    // exited: only the first thread carves fresh slots.
+    struct Reused
+    {
+        char payload[40];
+    };
+    constexpr std::uint64_t kObjects = 300;
+    std::vector<std::uint64_t> fresh;
+    for (int t = 0; t < 4; ++t) {
+        std::thread([&fresh] {
+            auto &pool = ObjectPool<Reused>::instance();
+            std::vector<void *> held;
+            for (std::uint64_t i = 0; i < kObjects; ++i)
+                held.push_back(pool.allocate());
+            for (void *p : held)
+                pool.deallocate(p);
+            fresh.push_back(pool.stats().freshAllocs);
+        }).join();
+    }
+    ASSERT_EQ(fresh.size(), 4u);
+    EXPECT_EQ(fresh[0], kObjects);
+    for (std::size_t t = 1; t < fresh.size(); ++t)
+        EXPECT_EQ(fresh[t], 0u) << "thread " << t << " carved storage";
 }
 
 TEST(ObjectPoolTest, PooledMixinRoutesNewAndDelete)

@@ -21,10 +21,9 @@
 #include "ckpt/ckpt.hh"
 #include "dram/dram_presets.hh"
 #include "harness/multichannel.hh"
+#include "harness/stimulus.hh"
 #include "sim/shard.hh"
 #include "sim/simulator.hh"
-#include "trafficgen/linear_gen.hh"
-#include "trafficgen/random_gen.hh"
 #include "xbar/sharded_xbar.hh"
 
 namespace dramctrl {
@@ -187,26 +186,15 @@ runSystem(unsigned channels, unsigned threads, const std::string &shape,
     harness::MultiChannelSystem sys(cfg);
     auto &loggers = sys.attachCmdLoggers();
 
-    GenConfig gc;
-    gc.windowSize = 1ULL << 22;
-    gc.minITT = fromNs(3.0);
-    gc.maxITT = fromNs(9.0);
-    gc.numRequests = requests;
-    for (unsigned i = 0; i < channels; ++i) {
-        GenConfig g = harness::sliceGenWindow(gc, i, channels,
-                                              sys.totalCapacity());
-        g.seed = 7 + i;
-        if (shape == "linear") {
-            g.readPct = 100;
-            sys.addGen<LinearGen>(g);
-        } else if (shape == "mixed") {
-            g.readPct = 50;
-            sys.addGen<RandomGen>(g);
-        } else {
-            g.readPct = 100;
-            sys.addGen<RandomGen>(g);
-        }
-    }
+    harness::Stimulus stim;
+    stim.pattern = shape == "linear" ? harness::Pattern::Linear
+                                     : harness::Pattern::Random;
+    stim.readPct = shape == "mixed" ? 50 : 100;
+    stim.ittNs = 3.0;
+    stim.requests = requests * channels;
+    stim.seed = 7;
+    stim.windowBytes = 1ULL << 22;
+    harness::attachStimulus(sys, stim);
 
     SysResult r;
     r.finalTick = sys.runToCompletion();
@@ -267,18 +255,12 @@ makeCkptSystem(unsigned threads)
     cfg.simThreads = threads;
 
     auto sys = std::make_unique<harness::MultiChannelSystem>(cfg);
-    GenConfig gc;
-    gc.windowSize = 1ULL << 22;
-    gc.minITT = fromNs(3.0);
-    gc.maxITT = fromNs(9.0);
-    gc.numRequests = 400;
-    gc.readPct = 50;
-    for (unsigned i = 0; i < 4; ++i) {
-        GenConfig g = harness::sliceGenWindow(gc, i, 4,
-                                              sys->totalCapacity());
-        g.seed = 21 + i;
-        sys->addGen<RandomGen>(g);
-    }
+    harness::Stimulus stim;
+    stim.readPct = 50;
+    stim.requests = 4 * 400;
+    stim.seed = 21;
+    stim.windowBytes = 1ULL << 22;
+    harness::attachStimulus(*sys, stim);
     return sys;
 }
 
@@ -362,16 +344,11 @@ TEST(ShardSystem, RequestsCompleteAndStatsAddUp)
     cfg.simThreads = 2;
 
     harness::MultiChannelSystem sys(cfg);
-    GenConfig gc;
-    gc.windowSize = 1ULL << 20;
-    gc.numRequests = 150;
-    gc.readPct = 100;
-    for (unsigned i = 0; i < 4; ++i) {
-        GenConfig g = harness::sliceGenWindow(gc, i, 4,
-                                              sys.totalCapacity());
-        g.seed = 11 + i;
-        sys.addGen<RandomGen>(g);
-    }
+    harness::Stimulus stim;
+    stim.requests = 4 * 150;
+    stim.seed = 11;
+    stim.windowBytes = 1ULL << 20;
+    harness::Requestors reqs = harness::attachStimulus(sys, stim);
     sys.runToCompletion();
 
     for (unsigned i = 0; i < sys.numGens(); ++i) {
@@ -379,7 +356,8 @@ TEST(ShardSystem, RequestsCompleteAndStatsAddUp)
         EXPECT_EQ(sys.gen(i).genStats().recvResponses.value(), 150.0);
     }
     EXPECT_TRUE(sys.xbar().idle());
-    EXPECT_GT(sys.avgReadLatencyNs(), 0.0);
+    EXPECT_GT(reqs.avgReadLatencyNs(), 0.0);
+    EXPECT_EQ(reqs.responses(), 4u * 150);
     // Random addresses interleave over all four channels; every
     // controller must have seen traffic.
     for (unsigned ch = 0; ch < sys.numChannels(); ++ch)

@@ -14,6 +14,7 @@
 #include "stats/histogram.hh"
 #include "stats/stats.hh"
 #include "test_util.hh"
+#include "validate/json_io.hh"
 
 namespace dramctrl {
 namespace {
@@ -117,6 +118,32 @@ TEST(StatsJsonTest, NestedGroups)
     EXPECT_TRUE(structurallyValidJson(out)) << out;
     EXPECT_NE(out.find("\"mem\": {\"reads\": 1}"), std::string::npos)
         << out;
+}
+
+TEST(StatsJsonTest, HostileNamesRoundTripThroughTheParser)
+{
+    // Group and stat names come from configs and instance names; a
+    // quote, a backslash or a control character in one must still
+    // give a document a strict parser accepts, with the names intact.
+    const std::string group_name = "bad\x01name \"q\" \\ \n";
+    const std::string stat_name = "tab\tand\x1f";
+    Group root("system");
+    Group child(group_name, &root);
+    Scalar s(&child, stat_name, "");
+    s += 3;
+
+    std::ostringstream os;
+    root.dumpJson(os);
+    // JSON forbids raw control characters in strings (Python's
+    // json.loads rejects them); the escaper must spell them out.
+    for (char c : os.str())
+        ASSERT_GE(static_cast<unsigned char>(c), 0x20) << os.str();
+    validate::Json doc;
+    std::string err;
+    ASSERT_TRUE(validate::parseJson(os.str(), doc, &err))
+        << err << "\n" << os.str();
+    ASSERT_TRUE(doc[group_name].isObject()) << os.str();
+    EXPECT_EQ(doc[group_name][stat_name].asUInt(), 3u) << os.str();
 }
 
 TEST(StatsJsonTest, FullSimulationTreeIsValid)

@@ -18,6 +18,7 @@
 
 #include "dram/dram_presets.hh"
 #include "harness/multichannel.hh"
+#include "harness/stimulus.hh"
 #include "harness/testbench.hh"
 #include "sim/logging.hh"
 #include "sim/random.hh"
@@ -367,14 +368,12 @@ TEST_F(DtrcFileTest, MultiChannelCaptureReplaysAtAnyWidth)
     {
         harness::MultiChannelSystem mc(mcfg);
         mc.enableCapture(path_);
-        GenConfig gc;
-        gc.numRequests = 150;
-        gc.minITT = gc.maxITT = fromNs(2.0);
-        gc.seed = 9;
-        gc.windowSize = 1ULL << 20;
-        for (unsigned i = 0; i < 2; ++i)
-            mc.addGen<RandomGen>(harness::sliceGenWindow(
-                gc, i, 2, mc.totalCapacity()));
+        harness::Stimulus stim;
+        stim.requests = 2 * 150;
+        stim.ittNs = 2.0;
+        stim.seed = 9;
+        stim.windowBytes = 1ULL << 20;
+        harness::attachStimulus(mc, stim);
         mc.runToCompletion();
         mc.finishCapture();
         for (unsigned ch = 0; ch < 2; ++ch)
@@ -387,7 +386,10 @@ TEST_F(DtrcFileTest, MultiChannelCaptureReplaysAtAnyWidth)
         harness::MultiChannelConfig rcfg = mcfg;
         rcfg.simThreads = threads;
         harness::MultiChannelSystem mc(rcfg);
-        EXPECT_EQ(harness::addTracePlayers(mc, path_), 2u);
+        harness::Stimulus replay;
+        replay.pattern = harness::Pattern::Trace;
+        replay.tracePath = path_;
+        EXPECT_EQ(harness::attachStimulus(mc, replay).players.size(), 2u);
         mc.runToCompletion();
         for (unsigned ch = 0; ch < 2; ++ch)
             EXPECT_EQ(statsJson(mc.ctrl(ch).statGroup()),

@@ -21,6 +21,7 @@
  * the tool exits non-zero.
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -39,6 +40,7 @@
 #include "harness/cli_options.hh"
 #include "harness/config_file.hh"
 #include "harness/multichannel.hh"
+#include "harness/stimulus.hh"
 #include "harness/testbench.hh"
 #include "obs/chrome_trace.hh"
 #include "obs/event_profiler.hh"
@@ -48,10 +50,6 @@
 #include "obs/trace.hh"
 #include "power/micron_power.hh"
 #include "sim/logging.hh"
-#include "trafficgen/dram_gen.hh"
-#include "trafficgen/linear_gen.hh"
-#include "trafficgen/random_gen.hh"
-#include "trafficgen/trace_file.hh"
 
 using namespace dramctrl;
 
@@ -64,7 +62,7 @@ struct CliOptions
     std::string configFile;     // declarative config (overrides preset)
     std::string dumpConfig;     // dump resolved config to PATH ('-' =
                                 // stdout) and exit
-    std::string pattern = "random"; // linear | random | dram | trace
+    harness::Pattern pattern = harness::Pattern::Random;
     std::string model = "event";    // event | cycle
     std::optional<PagePolicy> page;
     std::optional<AddrMapping> mapping;
@@ -263,6 +261,59 @@ optionTable(CliOptions &opt)
     };
 }
 
+/** The traffic the flags describe. */
+harness::Stimulus
+stimulusOf(const CliOptions &opt)
+{
+    harness::Stimulus s;
+    s.pattern = opt.pattern;
+    s.readPct = opt.readPct;
+    s.ittNs = opt.ittNs;
+    s.requests = opt.requests;
+    s.seed = opt.seed;
+    s.strideBytes = opt.strideBytes;
+    s.banks = opt.banks;
+    s.tracePath = opt.traceIn;
+    s.traceScale = opt.traceScale;
+    return s;
+}
+
+/**
+ * Restore --ckpt-restore into @p sim and print @p header (text mode).
+ * With --ckpt-at, simulate to that time and save the checkpoint.
+ *
+ * @return true when the run stops at the checkpoint.
+ */
+bool
+stoppedAtCheckpoint(const CliOptions &opt, Simulator &sim,
+                    const std::string &header)
+{
+    if (!opt.ckptRestore.empty())
+        ckpt::restoreFile(sim, opt.ckptRestore);
+    if (!opt.json)
+        std::printf("%s\n", header.c_str());
+    if (opt.ckptAtNs <= 0)
+        return false;
+    sim.run(fromNs(opt.ckptAtNs));
+    ckpt::saveFile(sim, opt.ckptOut);
+    if (!opt.json)
+        std::printf("checkpoint:        %s (at %.2f us)\n",
+                    opt.ckptOut.c_str(), toSeconds(sim.curTick()) * 1e6);
+    return true;
+}
+
+/**
+ * --json: the stats tree in an envelope that carries the seed, so
+ * rerunning with --seed <seed> reproduces the run bit for bit.
+ */
+void
+printJsonStats(const CliOptions &opt, Simulator &sim)
+{
+    std::cout << "{\"seed\": " << opt.seed << ", \"stats\": ";
+    sim.dumpStatsJson(std::cout);
+    std::cout << "}\n";
+}
+
 /**
  * --runs N: the same configuration, N derived seeds, on the batch
  * engine. Reuses the sweep-point runner so the row contents (and
@@ -371,15 +422,6 @@ runMulti(const CliOptions &opt, const DRAMCtrlConfig &cfg,
               "sched/read-pct/itt-ns/model/requests/seed/audit/json/"
               "checkpoint axes only; mid-run observers read simulator "
               "state across shards and stay single-channel");
-    if (opt.pattern == "dram")
-        fatal("the dram pattern is bank-aware and single-channel; use "
-              "linear or random with --channels");
-    if (opt.pattern != "linear" && opt.pattern != "random" &&
-        opt.pattern != "trace")
-        fatal("unknown pattern '%s'", opt.pattern.c_str());
-    if (opt.pattern == "trace" && opt.traceIn.empty())
-        fatal("--pattern trace needs --trace-in PATH");
-
     harness::MultiChannelConfig mcfg;
     mcfg.channels = channels;
     mcfg.ctrl = cfg;
@@ -388,65 +430,30 @@ runMulti(const CliOptions &opt, const DRAMCtrlConfig &cfg,
     harness::MultiChannelSystem mc(mcfg);
     if (!opt.traceCapture.empty())
         mc.enableCapture(opt.traceCapture);
-
-    if (opt.pattern == "trace") {
-        // One player per recorded source id; the trace fans out over
-        // the shards like its originating generators did.
-        harness::addTracePlayers(mc, opt.traceIn, opt.traceScale);
-    } else {
-        // One generator per channel, each in its own address slice,
-        // with the request budget split evenly.
-        GenConfig gc;
-        gc.readPct = opt.readPct;
-        gc.minITT = gc.maxITT = fromNs(opt.ittNs);
-        gc.numRequests =
-            std::max<std::uint64_t>(1, opt.requests / channels);
-        gc.windowSize =
-            std::min<std::uint64_t>(mc.totalCapacity(), 1ULL << 26);
-        for (unsigned i = 0; i < channels; ++i) {
-            GenConfig g = harness::sliceGenWindow(gc, i, channels,
-                                                  mc.totalCapacity());
-            g.seed = exec::deriveSeed(opt.seed, i);
-            if (opt.pattern == "linear")
-                mc.addGen<LinearGen>(g);
-            else
-                mc.addGen<RandomGen>(g);
-        }
-    }
+    harness::Requestors reqs =
+        harness::attachStimulus(mc, stimulusOf(opt));
 
     std::vector<CmdLogger> *loggers = nullptr;
     if (opt.audit)
         loggers = &mc.attachCmdLoggers();
 
-    if (!opt.ckptRestore.empty())
-        ckpt::restoreFile(mc.sim(), opt.ckptRestore);
-
-    if (!opt.json)
-        std::printf("%s\nchannels:          %u (sim-threads %u)\n",
-                    cfg.describe().c_str(), channels, opt.simThreads);
-
-    if (opt.ckptAtNs > 0) {
-        mc.sim().run(fromNs(opt.ckptAtNs));
-        ckpt::saveFile(mc.sim(), opt.ckptOut);
-        if (!opt.json)
-            std::printf("checkpoint:        %s (at %.2f us)\n",
-                        opt.ckptOut.c_str(),
-                        toSeconds(mc.sim().curTick()) * 1e6);
+    if (stoppedAtCheckpoint(
+            opt, mc.sim(),
+            formatString("%s\nchannels:          %u (sim-threads %u)",
+                         cfg.describe().c_str(), channels,
+                         opt.simThreads)))
         return 0;
-    }
 
     mc.runToCompletion();
     mc.finishCapture();
 
     if (opt.json) {
-        std::cout << "{\"seed\": " << opt.seed << ", \"stats\": ";
-        mc.sim().dumpStatsJson(std::cout);
-        std::cout << "}\n";
+        printJsonStats(opt, mc.sim());
     } else {
         std::printf("simulated time:    %.2f us\n",
                     toSeconds(mc.sim().curTick()) * 1e6);
         std::printf("avg read latency:  %.1f ns\n",
-                    mc.avgReadLatencyNs());
+                    reqs.avgReadLatencyNs());
         std::printf("avg bus util:      %.1f%%\n",
                     100 * mc.avgBusUtil());
         std::printf("total bandwidth:   %.2f GB/s over %u channels\n",
@@ -564,6 +571,11 @@ main(int argc, char **argv)
     if (opt.model != "cycle" && opt.model != "event")
         fatal("unknown model '%s'", opt.model.c_str());
 
+    std::string why =
+        harness::checkStimulus(stimulusOf(opt), std::max(1u, channels));
+    if (!why.empty())
+        fatal("--pattern: %s", why.c_str());
+
     if (channels > 1)
         return runMulti(opt, cfg, model, channels);
     if (opt.simThreads > 1)
@@ -676,56 +688,13 @@ main(int argc, char **argv)
 
     if (!opt.traceCapture.empty())
         tb.enableCapture(opt.traceCapture);
+    harness::Requestors reqs =
+        harness::attachStimulus(tb, stimulusOf(opt));
 
-    BaseGen *gen = nullptr;
-    TracePlayer *player = nullptr;
-    GenConfig gc;
-    gc.windowSize =
-        std::min<std::uint64_t>(cfg.org.channelCapacity, 1ULL << 26);
-    gc.readPct = opt.readPct;
-    gc.minITT = gc.maxITT = fromNs(opt.ittNs);
-    gc.numRequests = opt.requests;
-    gc.seed = opt.seed;
-
-    if (opt.pattern == "linear") {
-        gen = &tb.addGen<LinearGen>(gc);
-    } else if (opt.pattern == "random") {
-        gen = &tb.addGen<RandomGen>(gc);
-    } else if (opt.pattern == "dram") {
-        DramGenConfig dgc;
-        static_cast<GenConfig &>(dgc) = gc;
-        dgc.org = cfg.org;
-        dgc.mapping = cfg.addrMapping;
-        dgc.strideBytes = opt.strideBytes;
-        dgc.numBanksTarget = opt.banks;
-        gen = &tb.addGen<DramGen>(dgc);
-    } else if (opt.pattern == "trace") {
-        if (opt.traceIn.empty())
-            fatal("--pattern trace needs --trace-in PATH");
-        player = &tb.addGen<TracePlayer>(
-            makeTracePlayerConfig(opt.traceIn, opt.traceScale));
-    } else {
-        fatal("unknown pattern '%s'", opt.pattern.c_str());
-    }
-
-    if (!opt.ckptRestore.empty())
-        ckpt::restoreFile(tb.sim(), opt.ckptRestore);
-
-    if (!opt.json)
-        std::printf("%s\n", cfg.describe().c_str());
-
-    if (opt.ckptAtNs > 0) {
-        tb.sim().run(fromNs(opt.ckptAtNs));
-        ckpt::saveFile(tb.sim(), opt.ckptOut);
-        if (!opt.json)
-            std::printf("checkpoint:        %s (at %.2f us)\n",
-                        opt.ckptOut.c_str(),
-                        toSeconds(tb.sim().curTick()) * 1e6);
+    if (stoppedAtCheckpoint(opt, tb.sim(), cfg.describe()))
         return 0;
-    }
 
-    tb.runToCompletion(
-        [&] { return gen != nullptr ? gen->done() : player->done(); });
+    tb.runToCompletion([&] { return reqs.done(); });
     tb.finishCapture();
     if (!opt.traceCapture.empty() && !opt.json)
         std::printf("trace capture:     %s\n", opt.traceCapture.c_str());
@@ -755,23 +724,18 @@ main(int argc, char **argv)
     }
 
     if (opt.json) {
-        // Envelope so the seed rides along with the stats: rerunning
-        // with --seed <seed> reproduces the run bit for bit.
-        std::cout << "{\"seed\": " << opt.seed << ", \"stats\": ";
-        tb.sim().dumpStatsJson(std::cout);
-        std::cout << "}\n";
+        printJsonStats(opt, tb.sim());
     } else {
         std::printf("preset %s, %s model, %s pattern, %llu requests, "
                     "seed %llu\n",
                     opt.preset.c_str(), harness::toString(model),
-                    opt.pattern.c_str(),
+                    harness::toString(opt.pattern),
                     static_cast<unsigned long long>(opt.requests),
                     static_cast<unsigned long long>(opt.seed));
         std::printf("simulated time:    %.2f us\n",
                     toSeconds(tb.sim().curTick()) * 1e6);
         std::printf("avg read latency:  %.1f ns\n",
-                    gen != nullptr ? gen->avgReadLatencyNs()
-                                   : player->avgReadLatencyNs());
+                    reqs.avgReadLatencyNs());
         std::printf("bus utilisation:   %.1f%%\n",
                     100 * tb.ctrl().busUtilisation());
         std::printf("bandwidth:         %.2f / %.2f GB/s\n",
