@@ -133,7 +133,7 @@ main(int argc, char **argv)
     sspec.numSeeds = 8;
     sspec.masterSeed = seed;
     sspec.warmupRequests = 3000;
-    sspec.requests = 1000;
+    sspec.stimulus.requests = 1000;
     const auto grid = exec::expandGrid(sspec);
     const std::size_t groups =
         grid.size() / std::max(1u, sspec.numSeeds);
@@ -256,7 +256,7 @@ main(int argc, char **argv)
                 "%llu warm-up + %llu measured requests, %u jobs)\n",
                 grid.size(), groups,
                 static_cast<unsigned long long>(sspec.warmupRequests),
-                static_cast<unsigned long long>(sspec.requests),
+                static_cast<unsigned long long>(sspec.stimulus.requests),
                 sweep_jobs);
     std::printf("%12s %10s %9s %8s\n", "mode", "seconds", "speedup",
                 "match");
@@ -316,7 +316,7 @@ main(int argc, char **argv)
                      grid.size(), groups, sweep_jobs,
                      static_cast<unsigned long long>(
                          sspec.warmupRequests),
-                     static_cast<unsigned long long>(sspec.requests),
+                     static_cast<unsigned long long>(sspec.stimulus.requests),
                      cold_s, warm_s,
                      warm_s > 0 ? cold_s / warm_s : 0,
                      rows_match ? "true" : "false");

@@ -55,16 +55,15 @@ specProblem(const SweepSpec &spec)
         if (std::find(known.begin(), known.end(), p) == known.end())
             return "unknown preset '" + p + "'";
     for (harness::Pattern p : spec.patterns) {
-        harness::Stimulus stim;
+        harness::Stimulus stim = spec.stimulus;
         stim.pattern = p;
-        stim.tracePath = spec.tracePath;
         std::string why = harness::checkStimulus(stim, spec.channels);
         if (!why.empty())
             return why;
         if (p == harness::Pattern::Trace && spec.warmupRequests > 0)
             return "the trace pattern does not support warm-up";
     }
-    if (spec.traceScale <= 0)
+    if (spec.stimulus.traceScale <= 0)
         return "trace time scale must be positive";
     for (unsigned pct : spec.readPcts)
         if (pct > 100)
@@ -126,16 +125,11 @@ configOf(const SweepPoint &point, const SweepSpec &spec)
 harness::Stimulus
 stimulusOf(const SweepPoint &point, const SweepSpec &spec)
 {
-    harness::Stimulus s;
+    harness::Stimulus s = spec.stimulus;
     s.pattern = point.pattern;
     s.readPct = point.readPct;
     s.ittNs = point.ittNs;
-    s.requests = spec.requests;
     s.seed = point.seed;
-    s.strideBytes = spec.strideBytes;
-    s.banks = spec.banks;
-    s.tracePath = spec.tracePath;
-    s.traceScale = spec.traceScale;
     return s;
 }
 
@@ -274,7 +268,7 @@ runSweepPoint(const SweepPoint &point, const SweepSpec &spec)
     if (spec.warmupRequests == 0 ||
         point.pattern == harness::Pattern::Trace) {
         BuiltPoint built =
-            buildPoint(point, spec, spec.requests, point.seed);
+            buildPoint(point, spec, spec.stimulus.requests, point.seed);
         built.run();
         return built.finish(point);
     }
@@ -286,7 +280,7 @@ runSweepPoint(const SweepPoint &point, const SweepSpec &spec)
                    warmupSeedOf(spec, configGroupOf(point, spec)));
     built.run();
     built.tb->sim().resetStats();
-    built.reqs.gens[0]->extendRun(spec.requests, point.seed);
+    built.reqs.gens[0]->extendRun(spec.stimulus.requests, point.seed);
     built.run();
     return built.finish(point);
 }
@@ -312,7 +306,7 @@ runMeasuredFromSnapshot(const SweepPoint &point, const SweepSpec &spec,
         buildPoint(point, spec, spec.warmupRequests,
                    warmupSeedOf(spec, configGroupOf(point, spec)));
     ckpt::restoreFromString(built.tb->sim(), snapshot);
-    built.reqs.gens[0]->extendRun(spec.requests, point.seed);
+    built.reqs.gens[0]->extendRun(spec.stimulus.requests, point.seed);
     built.run();
     return built.finish(point);
 }

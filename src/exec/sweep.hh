@@ -40,10 +40,21 @@ struct SweepSpec
     unsigned numSeeds = 1;
     std::uint64_t masterSeed = 1;
 
-    /** Fixed per-run stimulus parameters (see harness::Stimulus). */
-    std::uint64_t requests = 5000;
-    std::uint64_t strideBytes = 256;
-    unsigned banks = 4;
+    /**
+     * The stimulus settings every point shares: the measured request
+     * budget, the address window, the dram pattern's stride and banks,
+     * and the trace file with its time scale. The "trace" pattern
+     * streams stimulus.tracePath (text or .dtrc, sniffed by content)
+     * through one player on a single channel, or one player per
+     * recorded source id on several; it ignores seeds and supports no
+     * warm-up. Each point overrides pattern, readPct, ittNs and seed
+     * with its own axes. The budget defaults to 5000 requests.
+     */
+    harness::Stimulus stimulus = [] {
+        harness::Stimulus s;
+        s.requests = 5000;
+        return s;
+    }();
 
     /**
      * Controller plugin chain applied to every point, as the csv list
@@ -68,24 +79,14 @@ struct SweepSpec
 
     /**
      * Warm-up requests injected (from a seed-independent stream)
-     * before statistics reset and the measured @ref requests begin.
+     * before statistics reset and the measured stimulus.requests
+     * begin.
      * 0 disables warm-up. With warm-up on, a sweep can run in
      * warm-start mode: one warm-up per config group, checkpointed,
      * with the measured phases fanned out from the shared snapshot
      * (see captureWarmupSnapshot / runMeasuredFromSnapshot).
      */
     std::uint64_t warmupRequests = 0;
-
-    /**
-     * Stimulus file for the "trace" pattern (text or .dtrc, sniffed
-     * by content). Single-channel points stream it through one
-     * player; multi-channel points add one player per recorded
-     * source id, fanning the file out across the channels. The trace
-     * pattern ignores seeds and supports no warm-up.
-     */
-    std::string tracePath;
-    /** Stretch (>1) / compress (<1) replayed inter-request gaps. */
-    double traceScale = 1.0;
 
     /**
      * When non-empty, every run also records the request stream it

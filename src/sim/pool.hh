@@ -85,17 +85,11 @@ class ObjectPool
     static ObjectPool &
     instance()
     {
-        static thread_local ObjectPool pool(/*adopt_dead=*/true);
+        static thread_local ObjectPool pool;
         return pool;
     }
 
-    /**
-     * @param adopt_dead take the free slots of dead pools over before
-     *        carving fresh storage. The per-thread instances do; a
-     *        standalone pool (a test's) always starts empty.
-     */
-    explicit ObjectPool(bool adopt_dead = false) : adoptDead_(adopt_dead)
-    {}
+    ObjectPool() = default;
 
     /**
      * Hand the chunks (immortal from here on) and every free slot,
@@ -126,7 +120,7 @@ class ObjectPool
     {
         ++stats_.totalAllocs;
         ++stats_.inUse;
-        if (freeHead_ == nullptr && adoptDead_ && chunkUsed_ == chunkSize_)
+        if (freeHead_ == nullptr && chunkUsed_ == chunkSize_)
             freeHead_ = adoptDeadFreeList();
         if (freeHead_ != nullptr) {
             Slot *slot = freeHead_;
@@ -211,7 +205,6 @@ class ObjectPool
     std::size_t chunkSize_ = 0;
     std::size_t chunkUsed_ = 0;
     std::size_t nextChunk_ = 64;
-    bool adoptDead_;
     PoolStats stats_;
 };
 

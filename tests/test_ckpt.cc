@@ -516,7 +516,7 @@ TEST(CkptWarmStart, ckpt_warm_rows_equal_cold_rows)
     spec.presets = {"ddr3_1333", "lpddr3_1600"};
     spec.patterns = {harness::Pattern::Random};
     spec.numSeeds = 2;
-    spec.requests = 200;
+    spec.stimulus.requests = 200;
     spec.warmupRequests = 100;
 
     std::vector<exec::SweepPoint> grid = exec::expandGrid(spec);

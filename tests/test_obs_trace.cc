@@ -235,21 +235,18 @@ TEST_F(ObsTraceTest, JsonlSinkFormatAndEscaping)
     EXPECT_NE(out.find("{\"tick\": null, \"channel\": \"Port\""),
               std::string::npos)
         << out;
-}
 
-TEST_F(ObsTraceTest, JsonlSinkHostileMessagesRoundTrip)
-{
+    // Every control byte is escaped, and the line parses back to the
+    // message it was written from.
     const std::string msg = "cr\r bell\x07 unit\x1f \"q\" \\ tab\t";
-    std::ostringstream os;
-    obs::JsonlSink sink(os);
-    sink.write(9, TraceChannel::DRAMCtrl, msg);
-    std::string line = os.str();
+    std::ostringstream hostile;
+    obs::JsonlSink(hostile).write(9, TraceChannel::DRAMCtrl, msg);
+    std::string line = hostile.str();
     ASSERT_FALSE(line.empty());
     ASSERT_EQ(line.back(), '\n');
     line.pop_back();
     for (char c : line)
         ASSERT_GE(static_cast<unsigned char>(c), 0x20) << line;
-
     validate::Json doc;
     std::string err;
     ASSERT_TRUE(validate::parseJson(line, doc, &err)) << err << "\n"

@@ -108,7 +108,7 @@ runSweepBatch(unsigned jobs)
     spec.readPcts = {50, 100};
     spec.numSeeds = 2;
     spec.masterSeed = 3;
-    spec.requests = 1200;
+    spec.stimulus.requests = 1200;
 
     std::string err;
     EXPECT_TRUE(checkSpec(spec, &err)) << err;

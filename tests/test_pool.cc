@@ -20,14 +20,17 @@
 namespace dramctrl {
 namespace {
 
-struct Payload
-{
-    std::uint64_t a;
-    std::uint64_t b;
-};
+// A pool adopts the free slots that dead pools of its type left
+// behind before it carves storage, so each test that counts fresh
+// allocations pools a type of its own, of which no dead pool exists.
 
 TEST(ObjectPoolTest, ReusesFreedSlots)
 {
+    struct Payload
+    {
+        std::uint64_t a;
+        std::uint64_t b;
+    };
     ObjectPool<Payload> pool;
     void *p1 = pool.allocate();
     void *p2 = pool.allocate();
@@ -41,6 +44,11 @@ TEST(ObjectPoolTest, ReusesFreedSlots)
 
 TEST(ObjectPoolTest, CountsFreshVersusRecycled)
 {
+    struct Payload
+    {
+        std::uint64_t a;
+        std::uint64_t b;
+    };
     ObjectPool<Payload> pool;
     void *p = pool.allocate();
     EXPECT_EQ(pool.stats().totalAllocs, 1u);
@@ -55,6 +63,11 @@ TEST(ObjectPoolTest, CountsFreshVersusRecycled)
 
 TEST(ObjectPoolTest, GrowsAcrossChunksWithDistinctSlots)
 {
+    struct Payload
+    {
+        std::uint64_t a;
+        std::uint64_t b;
+    };
     ObjectPool<Payload> pool;
     std::set<void *> seen;
     std::vector<void *> held;

@@ -24,6 +24,8 @@
 #include "harness/stimulus.hh"
 #include "sim/shard.hh"
 #include "sim/simulator.hh"
+#include "trafficgen/linear_gen.hh"
+#include "trafficgen/random_gen.hh"
 #include "xbar/sharded_xbar.hh"
 
 namespace dramctrl {
@@ -186,15 +188,29 @@ runSystem(unsigned channels, unsigned threads, const std::string &shape,
     harness::MultiChannelSystem sys(cfg);
     auto &loggers = sys.attachCmdLoggers();
 
-    harness::Stimulus stim;
-    stim.pattern = shape == "linear" ? harness::Pattern::Linear
-                                     : harness::Pattern::Random;
-    stim.readPct = shape == "mixed" ? 50 : 100;
-    stim.ittNs = 3.0;
-    stim.requests = requests * channels;
-    stim.seed = 7;
-    stim.windowBytes = 1ULL << 22;
-    harness::attachStimulus(sys, stim);
+    // Jittered arrivals (uniform 3-9 ns) on purpose: the builder's
+    // Stimulus has one fixed ITT, and the sharded engine must also be
+    // deterministic under irregular per-channel timing.
+    GenConfig gc;
+    gc.windowSize = 1ULL << 22;
+    gc.minITT = fromNs(3.0);
+    gc.maxITT = fromNs(9.0);
+    gc.numRequests = requests;
+    for (unsigned i = 0; i < channels; ++i) {
+        GenConfig g = harness::sliceGenWindow(gc, i, channels,
+                                              sys.totalCapacity());
+        g.seed = 7 + i;
+        if (shape == "linear") {
+            g.readPct = 100;
+            sys.addGen<LinearGen>(g);
+        } else if (shape == "mixed") {
+            g.readPct = 50;
+            sys.addGen<RandomGen>(g);
+        } else {
+            g.readPct = 100;
+            sys.addGen<RandomGen>(g);
+        }
+    }
 
     SysResult r;
     r.finalTick = sys.runToCompletion();
@@ -255,12 +271,20 @@ makeCkptSystem(unsigned threads)
     cfg.simThreads = threads;
 
     auto sys = std::make_unique<harness::MultiChannelSystem>(cfg);
-    harness::Stimulus stim;
-    stim.readPct = 50;
-    stim.requests = 4 * 400;
-    stim.seed = 21;
-    stim.windowBytes = 1ULL << 22;
-    harness::attachStimulus(*sys, stim);
+    // Jittered arrivals, like runSystem(): the checkpoint then saves
+    // and restores each generator partway through its ITT draws.
+    GenConfig gc;
+    gc.windowSize = 1ULL << 22;
+    gc.minITT = fromNs(3.0);
+    gc.maxITT = fromNs(9.0);
+    gc.numRequests = 400;
+    gc.readPct = 50;
+    for (unsigned i = 0; i < 4; ++i) {
+        GenConfig g = harness::sliceGenWindow(gc, i, 4,
+                                              sys->totalCapacity());
+        g.seed = 21 + i;
+        sys->addGen<RandomGen>(g);
+    }
     return sys;
 }
 

@@ -62,17 +62,14 @@ struct CliOptions
     std::string configFile;     // declarative config (overrides preset)
     std::string dumpConfig;     // dump resolved config to PATH ('-' =
                                 // stdout) and exit
-    harness::Pattern pattern = harness::Pattern::Random;
+    // The traffic: --pattern, --read-pct, --itt-ns, --requests,
+    // --seed, --stride, --banks, --trace-in and --trace-scale.
+    harness::Stimulus stim;
     std::string model = "event";    // event | cycle
     std::optional<PagePolicy> page;
     std::optional<AddrMapping> mapping;
     std::optional<SchedPolicy> sched;
     bool tempExplicit = false;
-    unsigned readPct = 100;
-    double ittNs = 6.0;
-    std::uint64_t requests = 20000;
-    std::uint64_t strideBytes = 256;
-    unsigned banks = 4;
     double temperatureC = 85.0;
     bool powerDown = false;
     std::string plugins;        // csv plugin chain, e.g. ecc,prac
@@ -81,14 +78,11 @@ struct CliOptions
     unsigned pracThreshold = 0; // 0 = keep the spec default
     bool json = false;
     bool audit = false;
-    std::uint64_t seed = 1;
     std::uint64_t runs = 1;  // > 1 = batch mode over derived seeds
     unsigned jobs = 1;
 
     // Trace replay and capture (see docs/TRACES.md).
-    std::string traceIn;      // stimulus for --pattern trace
     std::string traceCapture; // record the accepted request stream
-    double traceScale = 1.0;  // replay time scale
 
     // Multi-channel mode (see docs/PERFORMANCE.md, sharding).
     unsigned channels = 0;   // 0 = unset (single channel, or preset's)
@@ -141,7 +135,7 @@ optionTable(CliOptions &opt)
         value("--pattern", "NAME",
               "linear|random|dram (DRAM-aware)|trace\n"
               "(replay --trace-in)",
-              opt.pattern),
+              opt.stim.pattern),
         value("--model", "NAME", "event|cycle", opt.model),
         value("--page", "POLICY",
               "open|open_adaptive|closed|closed_adaptive", opt.page),
@@ -149,15 +143,15 @@ optionTable(CliOptions &opt)
               opt.mapping),
         value("--sched", "NAME", "fcfs|frfcfs", opt.sched),
         value("--read-pct", "N", "percentage of reads (default 100)",
-              opt.readPct),
+              opt.stim.readPct),
         value("--itt-ns", "F", "inter-transaction time (default 6)",
-              opt.ittNs),
+              opt.stim.ittNs),
         value("--requests", "N", "requests to simulate (default 20000)",
-              opt.requests),
+              opt.stim.requests),
         value("--stride", "BYTES", "dram pattern stride (default 256)",
-              opt.strideBytes),
+              opt.stim.strideBytes),
         value("--banks", "N", "dram pattern banks (default 4)",
-              opt.banks),
+              opt.stim.banks),
         value("--temperature", "C", "device temperature (default 85)",
               opt.temperatureC, &opt.tempExplicit),
         toggle("--power-down", "enable the power-down extension",
@@ -176,7 +170,7 @@ optionTable(CliOptions &opt)
         toggle("--audit", "log commands and run the JEDEC checker",
                opt.audit),
         toggle("--json", "dump the full stats tree as JSON", opt.json),
-        value("--seed", "N", "RNG seed (default 1)", opt.seed),
+        value("--seed", "N", "RNG seed (default 1)", opt.stim.seed),
         value("--runs", "N",
               "repeat with seeds derived from (seed, run\n"
               "index), one summary row per run",
@@ -190,7 +184,7 @@ optionTable(CliOptions &opt)
         value("--trace-in", "PATH",
               "stimulus file for --pattern trace; text or\n"
               "binary .dtrc, detected by content",
-              opt.traceIn),
+              opt.stim.tracePath),
         value("--trace-capture", "P",
               "record the accepted request stream to P\n"
               "(.txt => text, anything else => .dtrc binary;\n"
@@ -200,7 +194,7 @@ optionTable(CliOptions &opt)
         value("--trace-scale", "F",
               "stretch (>1) or compress (<1) replayed\n"
               "inter-request gaps (default 1.0)",
-              opt.traceScale),
+              opt.stim.traceScale),
         section("multi-channel:"),
         value("--channels", "N",
               "simulate N interleaved channels behind the\n"
@@ -261,23 +255,6 @@ optionTable(CliOptions &opt)
     };
 }
 
-/** The traffic the flags describe. */
-harness::Stimulus
-stimulusOf(const CliOptions &opt)
-{
-    harness::Stimulus s;
-    s.pattern = opt.pattern;
-    s.readPct = opt.readPct;
-    s.ittNs = opt.ittNs;
-    s.requests = opt.requests;
-    s.seed = opt.seed;
-    s.strideBytes = opt.strideBytes;
-    s.banks = opt.banks;
-    s.tracePath = opt.traceIn;
-    s.traceScale = opt.traceScale;
-    return s;
-}
-
 /**
  * Restore --ckpt-restore into @p sim and print @p header (text mode).
  * With --ckpt-at, simulate to that time and save the checkpoint.
@@ -309,7 +286,7 @@ stoppedAtCheckpoint(const CliOptions &opt, Simulator &sim,
 void
 printJsonStats(const CliOptions &opt, Simulator &sim)
 {
-    std::cout << "{\"seed\": " << opt.seed << ", \"stats\": ";
+    std::cout << "{\"seed\": " << opt.stim.seed << ", \"stats\": ";
     sim.dumpStatsJson(std::cout);
     std::cout << "}\n";
 }
@@ -336,19 +313,15 @@ runBatch(const CliOptions &opt, const DRAMCtrlConfig &cfg,
 
     exec::SweepSpec spec;
     spec.presets = {opt.preset};
-    spec.patterns = {opt.pattern};
+    spec.patterns = {opt.stim.pattern};
     spec.pages = {cfg.pagePolicy};
     spec.mappings = {cfg.addrMapping};
-    spec.readPcts = {opt.readPct};
-    spec.ittNs = {opt.ittNs};
+    spec.readPcts = {opt.stim.readPct};
+    spec.ittNs = {opt.stim.ittNs};
     spec.models = {model};
     spec.numSeeds = static_cast<unsigned>(opt.runs);
-    spec.masterSeed = opt.seed;
-    spec.requests = opt.requests;
-    spec.strideBytes = opt.strideBytes;
-    spec.banks = opt.banks;
-    spec.tracePath = opt.traceIn;
-    spec.traceScale = opt.traceScale;
+    spec.masterSeed = opt.stim.seed;
+    spec.stimulus = opt.stim;
     spec.traceCapturePrefix = opt.traceCapture;
 
     std::string err;
@@ -373,7 +346,7 @@ runBatch(const CliOptions &opt, const DRAMCtrlConfig &cfg,
                             out.index,
                             static_cast<unsigned long long>(
                                 grid[out.index].seed),
-                            static_cast<unsigned long long>(opt.seed),
+                            static_cast<unsigned long long>(opt.stim.seed),
                             out.error.c_str());
                 return;
             }
@@ -398,7 +371,7 @@ runBatch(const CliOptions &opt, const DRAMCtrlConfig &cfg,
                      "batch: %zu of %zu runs failed (master seed "
                      "%llu)\n",
                      failed, grid.size(),
-                     static_cast<unsigned long long>(opt.seed));
+                     static_cast<unsigned long long>(opt.stim.seed));
         return 2;
     }
     return 0;
@@ -431,7 +404,7 @@ runMulti(const CliOptions &opt, const DRAMCtrlConfig &cfg,
     if (!opt.traceCapture.empty())
         mc.enableCapture(opt.traceCapture);
     harness::Requestors reqs =
-        harness::attachStimulus(mc, stimulusOf(opt));
+        harness::attachStimulus(mc, opt.stim);
 
     std::vector<CmdLogger> *loggers = nullptr;
     if (opt.audit)
@@ -572,7 +545,7 @@ main(int argc, char **argv)
         fatal("unknown model '%s'", opt.model.c_str());
 
     std::string why =
-        harness::checkStimulus(stimulusOf(opt), std::max(1u, channels));
+        harness::checkStimulus(opt.stim, std::max(1u, channels));
     if (!why.empty())
         fatal("--pattern: %s", why.c_str());
 
@@ -689,7 +662,7 @@ main(int argc, char **argv)
     if (!opt.traceCapture.empty())
         tb.enableCapture(opt.traceCapture);
     harness::Requestors reqs =
-        harness::attachStimulus(tb, stimulusOf(opt));
+        harness::attachStimulus(tb, opt.stim);
 
     if (stoppedAtCheckpoint(opt, tb.sim(), cfg.describe()))
         return 0;
@@ -729,9 +702,9 @@ main(int argc, char **argv)
         std::printf("preset %s, %s model, %s pattern, %llu requests, "
                     "seed %llu\n",
                     opt.preset.c_str(), harness::toString(model),
-                    harness::toString(opt.pattern),
-                    static_cast<unsigned long long>(opt.requests),
-                    static_cast<unsigned long long>(opt.seed));
+                    harness::toString(opt.stim.pattern),
+                    static_cast<unsigned long long>(opt.stim.requests),
+                    static_cast<unsigned long long>(opt.stim.seed));
         std::printf("simulated time:    %.2f us\n",
                     toSeconds(tb.sim().curTick()) * 1e6);
         std::printf("avg read latency:  %.1f ns\n",

@@ -116,7 +116,7 @@ optionTable(SweepCliOptions &opt)
               "from (master seed, grid index)",
               spec.masterSeed),
         value("--requests", "N", "requests per run (default 5000)",
-              spec.requests),
+              spec.stimulus.requests),
         value("--warmup", "N",
               "warm-up requests before the stats reset\n"
               "(default 0 = none)",
@@ -132,9 +132,9 @@ optionTable(SweepCliOptions &opt)
               "refmgr-pb needs --model event)",
               spec.plugins),
         value("--stride", "BYTES", "dram-pattern stride (default 256)",
-              spec.strideBytes),
+              spec.stimulus.strideBytes),
         value("--banks", "N", "dram-pattern banks (default 4)",
-              spec.banks),
+              spec.stimulus.banks),
         value("--channels", "N",
               "channels per run (default 1); N > 1 builds a\n"
               "sharded multi-channel system per point",
