@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "cpu/workload.hh"
 #include "dram/dram_presets.hh"
 #include "dram/plugin/plugin.hh"
 #include "harness/config_file.hh"
@@ -506,6 +507,81 @@ cycleCases()
 
 INSTANTIATE_TEST_SUITE_P(CycleCorpus, GoldenCycleStats,
                          testing::ValuesIn(cycleCases()), cycleCaseName);
+
+/**
+ * Multi-core corpus: the Section IV full-system setup (four timing
+ * cores, private L1s, shared L2, two closed-page DDR3-1333 channels)
+ * under a cache-hostile and a cache-friendly workload, in front of
+ * either controller model. It is the only corpus with TimingCore in
+ * the loop, so it pins the core's cycle and stall accounting and the
+ * same-tick order of core, cache, crossbar and controller events.
+ */
+struct MultiCoreGoldenCase
+{
+    std::string workload;
+    harness::CtrlModel model;
+};
+
+std::string
+multiCoreGoldenName(const MultiCoreGoldenCase &c)
+{
+    return "golden_multicore_" + c.workload + "_" +
+           harness::toString(c.model);
+}
+
+std::string
+multiCoreCaseName(const testing::TestParamInfo<MultiCoreGoldenCase> &info)
+{
+    return multiCoreGoldenName(info.param);
+}
+
+std::string
+runMultiCoreCase(const MultiCoreGoldenCase &c)
+{
+    harness::MultiCoreConfig cfg;
+    cfg.numCores = 4;
+    cfg.channels = 2;
+    cfg.ctrl = presets::ddr3_1333();
+    cfg.ctrl.pagePolicy = PagePolicy::Closed;
+    cfg.ctrl.check();
+    cfg.model = c.model;
+    cfg.opsPerCore = 20000;
+    cfg.seed = 11;
+
+    harness::MultiCoreSystem sys(cfg, workloads::byName(c.workload));
+    sys.runToCompletion();
+
+    std::ostringstream os;
+    sys.sim().dumpStatsJson(os);
+    os << "\n";
+    return os.str();
+}
+
+class GoldenMultiCoreStats
+    : public testing::TestWithParam<MultiCoreGoldenCase>
+{
+};
+
+TEST_P(GoldenMultiCoreStats, MatchesReference)
+{
+    const MultiCoreGoldenCase &c = GetParam();
+    checkReference(multiCoreGoldenName(c), runMultiCoreCase(c));
+}
+
+std::vector<MultiCoreGoldenCase>
+multiCoreCases()
+{
+    std::vector<MultiCoreGoldenCase> cases;
+    for (const char *wl : {"canneal", "blackscholes"})
+        for (harness::CtrlModel m :
+             {harness::CtrlModel::Event, harness::CtrlModel::Cycle})
+            cases.push_back({wl, m});
+    return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(MultiCoreCorpus, GoldenMultiCoreStats,
+                         testing::ValuesIn(multiCoreCases()),
+                         multiCoreCaseName);
 
 } // namespace
 } // namespace dramctrl
