@@ -767,6 +767,14 @@ restoreStatsGroup(CkptIn &in, stats::Group &g,
 void
 save(Simulator &sim, std::ostream &os)
 {
+    // A parked event's slot moves with every event serviced, so no
+    // recorded (tick, rank) pair can restore it.
+    for (unsigned s = 0; s < sim.numShards(); ++s)
+        if (const Event *ev = sim.shardQueue(s).anyParked())
+            fatal("checkpoint: event '%s' is parked; a checkpoint "
+                  "cannot record a parked event",
+                  ev->name().c_str());
+
     CkptOut out(os);
 
     out.beginSection("sim");

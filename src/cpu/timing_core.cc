@@ -35,6 +35,17 @@ TimingCore::TimingCore(Simulator &sim, std::string name,
         fatal("core '%s': footprint smaller than one op",
               this->name().c_str());
     stats_ = std::make_unique<CoreStats>(*this);
+
+    // While parked, the queue holds the elided cycles; fold them in
+    // before a dump, and drop those counted before a reset.
+    statGroup().onDump([this] {
+        if (tickEvent_.parked())
+            countIdle(eventq().takeElided(tickEvent_));
+    });
+    statGroup().onReset([this] {
+        if (tickEvent_.parked())
+            eventq().takeElided(tickEvent_);
+    });
 }
 
 TimingCore::~TimingCore()
@@ -85,11 +96,38 @@ TimingCore::tick()
     commit();
     dispatch();
 
-    if (running_ && !done()) {
-        schedule(tickEvent_, curTick() + cfg_.clockPeriod);
-    } else {
+    if (!running_ || done()) {
         running_ = false;
+        return;
     }
+    // With the ROB head waiting on memory and dispatch blocked, only a
+    // response or a retry can change anything: until one arrives, each
+    // tick would just count a cycle (and a stall while a request is
+    // blocked). Park the tick so the queue elides those cycles.
+    const bool head_waiting = rob_.empty() || !rob_.front().completed;
+    const bool dispatch_stuck =
+        blockedPkt_ != nullptr || rob_.size() >= cfg_.robSize;
+    if (head_waiting && dispatch_stuck)
+        eventq().park(tickEvent_, curTick() + cfg_.clockPeriod,
+                      cfg_.clockPeriod);
+    else
+        schedule(tickEvent_, curTick() + cfg_.clockPeriod);
+}
+
+void
+TimingCore::wake()
+{
+    if (tickEvent_.parked())
+        countIdle(eventq().unpark(tickEvent_));
+}
+
+void
+TimingCore::countIdle(std::uint64_t cycles)
+{
+    const auto n = static_cast<double>(cycles);
+    stats_->cycles += n;
+    if (blockedPkt_ != nullptr)
+        stats_->memStallCycles += n;
 }
 
 void
@@ -146,6 +184,7 @@ void
 TimingCore::recvReqRetry()
 {
     DC_ASSERT(blockedPkt_ != nullptr, "retry with no blocked packet");
+    wake();
     Packet *pkt = blockedPkt_;
     blockedPkt_ = nullptr;
     if (!port_.sendTimingReq(pkt)) {
@@ -158,6 +197,7 @@ TimingCore::recvReqRetry()
 bool
 TimingCore::recvTimingResp(Packet *pkt)
 {
+    wake();
     auto it = inFlight_.find(pkt->id());
     DC_ASSERT(it != inFlight_.end(), "unexpected response %s",
               pkt->toString().c_str());

@@ -10,6 +10,11 @@
  * for the paper's experiments is the closed feedback loop: memory
  * latency fills the ROB and throttles the request stream, which traces
  * cannot capture (Section I).
+ *
+ * A core stalled on memory ticks without changing state, so it parks
+ * its tick event (EventQueue::park) until a response or a retry
+ * arrives, and then counts the elided cycles: the statistics are those
+ * of a core that ticked every cycle.
  */
 
 #ifndef DRAMCTRL_CPU_TIMING_CORE_H
@@ -106,6 +111,10 @@ class TimingCore : public SimObject
     };
 
     void tick();
+    /** Unpark the tick, counting the cycles the queue elided. */
+    void wake();
+    /** Count @p cycles idle cycles (stall cycles while blocked). */
+    void countIdle(std::uint64_t cycles);
     void dispatch();
     void commit();
     bool recvTimingResp(Packet *pkt);
