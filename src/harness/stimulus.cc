@@ -137,10 +137,13 @@ attachStimulus(SingleChannelSystem &tb, const Stimulus &s)
         r.gens.push_back(&tb.addGen<DramGen>(dgc));
         break;
       }
-      case Pattern::Trace:
-        r.players.push_back(&tb.addGen<TracePlayer>(
-            makeTracePlayerConfig(s.tracePath, s.traceScale)));
+      case Pattern::Trace: {
+        TracePlayerConfig pc =
+            makeTracePlayerConfig(s.tracePath, s.traceScale);
+        pc.span = tb.range();
+        r.players.push_back(&tb.addGen<TracePlayer>(pc));
         break;
+      }
     }
     return r;
 }
@@ -160,10 +163,13 @@ attachStimulus(MultiChannelSystem &mc, const Stimulus &s)
             TraceReader probe(s.tracePath, /*verify_crc=*/false);
             sources = probe.info().numSources;
         }
-        for (unsigned src = 0; src < sources; ++src)
-            r.players.push_back(&mc.addPlayer(makeTracePlayerConfig(
+        for (unsigned src = 0; src < sources; ++src) {
+            TracePlayerConfig pc = makeTracePlayerConfig(
                 s.tracePath, s.traceScale,
-                sources > 1 ? static_cast<int>(src) : -1)));
+                sources > 1 ? static_cast<int>(src) : -1);
+            pc.span = AddrRange(0, mc.totalCapacity());
+            r.players.push_back(&mc.addPlayer(pc));
+        }
         return r;
     }
 

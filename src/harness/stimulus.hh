@@ -14,7 +14,8 @@
  *    request budget split evenly, generator i playing in slice i of
  *    the memory (sliceGenWindow) with seed deriveSeed(seed, i);
  *  - a trace fans out as one player per recorded source id, sharded
- *    like the generators that recorded it;
+ *    like the generators that recorded it, and a record outside the
+ *    system's address span is fatal;
  *  - the dram pattern is bank-aware and therefore single-channel, and
  *    the trace pattern needs a file.
  */

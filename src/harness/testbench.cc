@@ -48,10 +48,9 @@ runUntil(Simulator &sim, const std::function<bool()> &done, Tick step,
 
 SingleChannelSystem::SingleChannelSystem(const DRAMCtrlConfig &cfg,
                                          CtrlModel model, Addr base)
+    : range_(base, cfg.org.channelCapacity)
 {
-    ctrl_ = makeController(sim_, "mem_ctrl", cfg,
-                           AddrRange(base, cfg.org.channelCapacity),
-                           model);
+    ctrl_ = makeController(sim_, "mem_ctrl", cfg, range_, model);
 }
 
 DRAMCtrl &

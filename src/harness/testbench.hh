@@ -70,6 +70,9 @@ class SingleChannelSystem
     Simulator &sim() { return sim_; }
     MemCtrlBase &ctrl() { return *ctrl_; }
 
+    /** The addresses the controller serves. */
+    const AddrRange &range() const { return range_; }
+
     /** The event-model controller; panics if model is Cycle. */
     DRAMCtrl &eventCtrl();
 
@@ -115,6 +118,7 @@ class SingleChannelSystem
 
   private:
     Simulator sim_;
+    AddrRange range_;
     std::unique_ptr<MemCtrlBase> ctrl_;
     std::unique_ptr<SimObject> genHolder_;
     std::unique_ptr<TraceRecorder> recorder_;

@@ -163,7 +163,8 @@ TraceRecorder::handleReq(Packet *pkt)
 
 TracePlayer::TracePlayer(Simulator &sim, std::string name,
                          const TracePlayerConfig &cfg, RequestorId id)
-    : SimObject(sim, std::move(name)), source_(cfg.source), id_(id),
+    : SimObject(sim, std::move(name)), source_(cfg.source),
+      span_(cfg.span), traceName_(cfg.name), id_(id),
       timeScale_(cfg.timeScale), slipOnStall_(cfg.slipOnStall),
       port_(this->name() + ".port", *this),
       injectEvent_([this] { tryInject(); },
@@ -181,10 +182,13 @@ TracePlayer::TracePlayer(Simulator &sim, std::string name,
                          std::vector<TraceEntry> trace, RequestorId id,
                          double time_scale)
     : TracePlayer(sim, std::move(name),
-                  TracePlayerConfig{
-                      std::make_shared<VectorTraceSource>(
-                          std::move(trace)),
-                      time_scale},
+                  [&trace, time_scale] {
+                      TracePlayerConfig pc;
+                      pc.source = std::make_shared<VectorTraceSource>(
+                          std::move(trace));
+                      pc.timeScale = time_scale;
+                      return pc;
+                  }(),
                   id)
 {
 }
@@ -214,6 +218,15 @@ TracePlayer::fetch()
         exhausted_ = true;
         return false;
     }
+    if (span_.valid() && (cur_.addr < span_.start() ||
+                          cur_.addr >= span_.end()))
+        fatal("trace %s record %llu: address 0x%llx is outside the "
+              "system's address span [0x%llx, 0x%llx)",
+              traceName_.c_str(),
+              static_cast<unsigned long long>(source_->position()),
+              static_cast<unsigned long long>(cur_.addr),
+              static_cast<unsigned long long>(span_.start()),
+              static_cast<unsigned long long>(span_.end()));
     source_->advance();
     curValid_ = true;
     return true;

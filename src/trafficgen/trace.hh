@@ -27,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "mem/addr_range.hh"
 #include "mem/packet.hh"
 #include "mem/port.hh"
 #include "sim/sim_object.hh"
@@ -204,6 +205,15 @@ struct TracePlayerConfig
      * false and retries without shifting the schedule.
      */
     bool slipOnStall = true;
+    /**
+     * The addresses the system behind the player serves. A record
+     * outside it ends the run in a fatal() naming the trace, the
+     * record, the address and the span, before it is sent. An invalid
+     * (default) range checks nothing.
+     */
+    AddrRange span;
+    /** The trace as error messages name it (its file, its source). */
+    std::string name = "(unnamed)";
 };
 
 /**
@@ -269,6 +279,8 @@ class TracePlayer : public SimObject
     void scheduleNext();
 
     std::shared_ptr<TraceSource> source_;
+    AddrRange span_;
+    std::string traceName_;
     RequestorId id_;
     double timeScale_;
     bool slipOnStall_;

@@ -549,6 +549,9 @@ makeTracePlayerConfig(const std::string &path, double time_scale,
 {
     TracePlayerConfig pc;
     pc.timeScale = time_scale;
+    pc.name = "'" + path + "'";
+    if (src_filter >= 0)
+        pc.name += " source " + std::to_string(src_filter);
     if (traceFormatOf(path) == TraceFormat::Dtrc) {
         auto src = std::make_shared<DtrcTraceSource>(path, src_filter);
         pc.slipOnStall = (src->reader().info().flags &

@@ -225,7 +225,9 @@ void saveTraceDtrc(const std::string &path,
  * Build a player configuration for @p path, either format. A .dtrc
  * source streams (optionally filtered to @p src_filter); a text trace
  * is materialised. Live-captured files (kTraceFlagLiveCapture) get
- * slipOnStall = false so replay reproduces the captured run.
+ * slipOnStall = false so replay reproduces the captured run. The
+ * config names the file (and the source) for error messages; its
+ * span is left for the caller to set.
  */
 TracePlayerConfig makeTracePlayerConfig(const std::string &path,
                                         double time_scale = 1.0,

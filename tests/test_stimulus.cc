@@ -2,8 +2,8 @@
  * @file
  * Tests for the stimulus builder (harness/stimulus.hh): which
  * requestors each pattern attaches to a single- and a multi-channel
- * system, the multi-channel slice-and-seed rule, the trace fan-out
- * and the validity rules.
+ * system, the multi-channel slice-and-seed rule, the trace fan-out,
+ * the trace's address-span check and the validity rules.
  */
 
 #include <gtest/gtest.h>
@@ -22,6 +22,7 @@
 #include "trafficgen/dram_gen.hh"
 #include "trafficgen/linear_gen.hh"
 #include "trafficgen/random_gen.hh"
+#include "trafficgen/trace.hh"
 
 namespace dramctrl {
 namespace {
@@ -177,6 +178,68 @@ TEST(Stimulus, TraceFansOutOnePlayerPerRecordedSource)
     replay.tracePath = kExampleTrace;
     harness::MultiChannelSystem one(fourChannels());
     EXPECT_EQ(harness::attachStimulus(one, replay).players.size(), 1u);
+    std::remove(path.c_str());
+}
+
+/** Run @p s on @p sys; return the fatal() message, or "" if none. */
+template <typename System>
+std::string
+fatalOfReplay(System &sys, const Stimulus &s)
+{
+    setThrowOnError(true);
+    std::string what;
+    try {
+        harness::attachStimulus(sys, s);
+        sys.sim().run(fromUs(10.0));
+    } catch (const std::runtime_error &e) {
+        what = e.what();
+    }
+    setThrowOnError(false);
+    return what;
+}
+
+TEST(Stimulus, TraceRecordOutsideTheSystemsSpanIsFatal)
+{
+    // A record beyond the memory behind the system (e.g. a trace
+    // captured on more channels) must stop the replay with a fatal()
+    // naming the file, the record, the address and the span, instead
+    // of reaching a controller that does not serve it.
+    const std::uint64_t cap = drainingConfig().org.channelCapacity;
+    const std::string path = testing::TempDir() + "stimulus_span_" +
+                             std::to_string(::getpid()) + ".txt";
+    saveTrace(path, {{0, true, 0x40, 64},
+                     {10, true, 4 * cap + 0x80, 64},
+                     {20, true, 0x80, 64}});
+    Stimulus s;
+    s.pattern = Pattern::Trace;
+    s.tracePath = path;
+
+    char want[160];
+    harness::SingleChannelSystem tb(drainingConfig(),
+                                    harness::CtrlModel::Event);
+    std::snprintf(want, sizeof(want),
+                  "record 1: address 0x%llx is outside the system's "
+                  "address span [0x0, 0x%llx)",
+                  static_cast<unsigned long long>(4 * cap + 0x80),
+                  static_cast<unsigned long long>(cap));
+    std::string what = fatalOfReplay(tb, s);
+    EXPECT_NE(what.find("fatal: trace '" + path + "' " + want),
+              std::string::npos)
+        << what;
+
+    // On four channels the span is four times as wide. Here the bad
+    // record comes first, so the fatal() fires at startup: this test
+    // catches it and tears the system down, and a fatal() thrown
+    // inside a sharded window would leave undelivered messages behind.
+    saveTrace(path, {{0, true, 4 * cap + 0x80, 64}});
+    harness::MultiChannelSystem mc(fourChannels());
+    std::snprintf(want, sizeof(want),
+                  "record 0: address 0x%llx is outside the system's "
+                  "address span [0x0, 0x%llx)",
+                  static_cast<unsigned long long>(4 * cap + 0x80),
+                  static_cast<unsigned long long>(4 * cap));
+    what = fatalOfReplay(mc, s);
+    EXPECT_NE(what.find(want), std::string::npos) << what;
     std::remove(path.c_str());
 }
 

@@ -17,6 +17,7 @@
  *             --read-pct 50,100 --jobs 4 --out sweep.csv
  *   sweep_cli --page open,closed --mapping RoRaBaCoCh,RoCoRaBaCh \
  *             --model both --seeds 3 --format jsonl
+ *   sweep_cli --pattern trace --trace-in cap.dtrc --page open,closed
  */
 
 #include <cstdio>
@@ -88,7 +89,10 @@ optionTable(SweepCliOptions &opt)
                          opt.configPresets.push_back(pname);
                      }
                  }),
-        value("--pattern", "LIST", "linear|random|dram", spec.patterns),
+        value("--pattern", "LIST",
+              "linear|random|dram|trace (trace replays\n"
+              "--trace-in)",
+              spec.patterns),
         value("--page", "LIST", "open|open_adaptive|closed|closed_adaptive",
               spec.pages),
         value("--mapping", "LIST", "RoRaBaCoCh|RoRaBaChCo|RoCoRaBaCh",
@@ -135,6 +139,14 @@ optionTable(SweepCliOptions &opt)
               spec.stimulus.strideBytes),
         value("--banks", "N", "dram-pattern banks (default 4)",
               spec.stimulus.banks),
+        value("--trace-in", "PATH",
+              "stimulus file for --pattern trace; text or\n"
+              "binary .dtrc, detected by content",
+              spec.stimulus.tracePath),
+        value("--trace-scale", "F",
+              "stretch (>1) or compress (<1) replayed\n"
+              "inter-request gaps (default 1.0)",
+              spec.stimulus.traceScale),
         value("--channels", "N",
               "channels per run (default 1); N > 1 builds a\n"
               "sharded multi-channel system per point",
