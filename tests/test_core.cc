@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "cpu/cache.hh"
 #include "cpu/timing_core.hh"
 #include "cpu/workload.hh"
@@ -142,6 +144,42 @@ TEST(TimingCoreTest, MemStallsAccumulateUnderPressure)
 
     harness::runUntil(sim, [&] { return core.done(); });
     EXPECT_GT(core.coreStats().memStallCycles.value(), 0.0);
+}
+
+TEST(TimingCoreTest, StatsCountEveryCycleWhileParked)
+{
+    // A stalled core parks its tick, yet a dump or a reset taken while
+    // it is parked must see every cycle a ticking core would have
+    // counted: one per period up to now.
+    harness::MultiCoreConfig cfg;
+    cfg.numCores = 4;
+    cfg.ctrl = testutil::noRefreshConfig();
+    cfg.opsPerCore = 1'000'000;
+    harness::MultiCoreSystem sys(cfg, workloads::canneal());
+    const Tick period = cfg.core.clockPeriod;
+    auto dump = [&] {
+        std::ostringstream os;
+        sys.sim().dumpStatsJson(os);
+    };
+
+    const Tick t1 = fromUs(3.0) + period / 3;
+    sys.sim().run(t1);
+    ASSERT_NE(sys.sim().eventq().anyParked(), nullptr);
+    sys.sim().resetStats();
+
+    // Two dumps while parked: the second must not count twice.
+    for (Tick t : {fromUs(5.0), fromUs(5.0) + 7 * period}) {
+        sys.sim().run(t);
+        ASSERT_NE(sys.sim().eventq().anyParked(), nullptr);
+        dump();
+        for (unsigned i = 0; i < cfg.numCores; ++i) {
+            const auto &st = sys.core(i).coreStats();
+            EXPECT_EQ(st.cycles.value(),
+                      static_cast<double>(t / period - t1 / period));
+            EXPECT_GT(st.memStallCycles.value(), 0.0);
+            EXPECT_LE(st.memStallCycles.value(), st.cycles.value());
+        }
+    }
 }
 
 TEST(TimingCoreTest, ValidatesConfig)
