@@ -1,15 +1,15 @@
 /**
  * @file
  * Trace-pipeline throughput benchmark: how fast the .dtrc format
- * writes, decodes (both reader backends), feeds the player's pull
+ * writes, decodes through the mmap reader, feeds the player's pull
  * seam, and replays through a simulated controller — plus the text
  * parser on the same trace for the binary-vs-text ratio. CI writes
  * the result to BENCH_trace.json and diffs it against the committed
  * baseline (bench/baselines/BENCH_trace.json, refreshed with
  * tools/regen_perf_baseline.sh).
  *
- * Resident memory is sampled around the streaming phases: the mmap
- * backend releases consumed windows, so the RSS delta stays O(1)
+ * Resident memory is sampled around the streaming phases: the reader
+ * releases consumed windows, so the RSS delta stays O(1)
  * however many records the file holds — that, and the Mrec/s columns,
  * are the headline numbers quoted in docs/TRACES.md.
  *
@@ -103,15 +103,14 @@ writeTrace(const std::string &path, std::uint64_t n)
     return makeRow("write", n, now() - t0, currentRssMb() - rss0);
 }
 
-/** Decode the whole file with @p backend; checksum defeats DCE. */
+/** Decode the whole file; checksum defeats DCE. */
 Row
-decodeTrace(const std::string &path, TraceReader::Backend backend,
-            const char *name)
+decodeTrace(const std::string &path)
 {
     double rss0 = currentRssMb();
     double t0 = now();
     // The CRC pass at open is part of honest ingestion cost.
-    TraceReader reader(path, /*verify_crc=*/true, backend);
+    TraceReader reader(path, /*verify_crc=*/true);
     TraceEntry e;
     std::uint64_t n = 0;
     Addr sum = 0;
@@ -119,7 +118,7 @@ decodeTrace(const std::string &path, TraceReader::Backend backend,
         sum += e.addr;
         ++n;
     }
-    Row r = makeRow(name, n, now() - t0, currentRssMb() - rss0);
+    Row r = makeRow("decode_mmap", n, now() - t0, currentRssMb() - rss0);
     if (sum == 0 && n > 0)
         std::fprintf(stderr, "(unlikely zero checksum)\n");
     return r;
@@ -253,14 +252,7 @@ main(int argc, char **argv)
     };
 
     report(writeTrace(dtrc, records));
-    {
-        TraceReader probe(dtrc, /*verify_crc=*/false);
-        if (probe.usingMmap())
-            report(decodeTrace(dtrc, TraceReader::Backend::Mmap,
-                               "decode_mmap"));
-    }
-    report(decodeTrace(dtrc, TraceReader::Backend::Read,
-                       "decode_read"));
+    report(decodeTrace(dtrc));
     report(dispatchTrace(dtrc));
     report(parseText(dtrc, txt));
     report(simReplay(dtrc, std::min(records, sim_records)));
@@ -268,8 +260,7 @@ main(int argc, char **argv)
     // Binary-vs-text ingestion ratio on the same trace.
     double bin = 0, text = 0;
     for (const Row &r : rows) {
-        if (r.name == "decode_mmap" || (bin == 0 &&
-                                        r.name == "decode_read"))
+        if (r.name == "decode_mmap")
             bin = r.mrecPerSec;
         if (r.name == "text_parse")
             text = r.mrecPerSec;

@@ -53,29 +53,22 @@ MultiChannelSystem::enableCapture(const std::string &path)
 {
     if (!gens_.empty())
         fatal("enableCapture() must be called before addGen()");
-    if (!capturePath_.empty())
+    if (captureWriter_ != nullptr)
         fatal("capture already enabled");
-    if (path.empty())
-        fatal("capture needs a non-empty path");
-    if (traceFormatForOutput(path) == TraceFormat::Text)
-        fatal("multi-channel capture records per-source streams, "
-              "which the text format cannot carry; use a non-.txt "
-              "path (and trace_cli to convert later)");
-    capturePath_ = path;
+    captureWriter_ = openCaptureWriter(path);
 }
 
 void
 MultiChannelSystem::finishCapture()
 {
-    if (capturePath_.empty() || captureDone_)
+    if (captureWriter_ == nullptr || captureDone_)
         return;
     captureDone_ = true;
 
     // Merge the per-generator streams (each tick-sorted by
     // construction) into one tick-ordered file; ties break towards the
     // lowest source index, deterministically.
-    TraceWriter writer(capturePath_, kTicksPerSecond,
-                       kTraceFlagLiveCapture);
+    TraceWriter &writer = *captureWriter_;
     std::vector<std::size_t> idx(recorders_.size(), 0);
     for (;;) {
         int best = -1;

@@ -82,7 +82,8 @@ class MultiChannelSystem
      * after this call into one .dtrc file (source id = generator
      * index). Shards run concurrently, so each generator gets its own
      * recorder and the per-source streams are merged by tick when
-     * finishCapture() seals the file.
+     * finishCapture() seals the file. The file is opened here, so a
+     * .txt path is fatal before the run (see openCaptureWriter()).
      */
     void enableCapture(const std::string &path);
     void finishCapture();
@@ -101,7 +102,7 @@ class MultiChannelSystem
         Simulator::ShardScope scope(sim_, index % sim_.numShards());
         auto gen = std::make_unique<GenT>(
             sim_, "gen" + std::to_string(index), gen_cfg, id);
-        if (!capturePath_.empty()) {
+        if (captureWriter_ != nullptr) {
             auto rec = std::make_unique<TraceRecorder>(
                 sim_, "trace_rec" + std::to_string(index));
             gen->port().bind(rec->cpuSidePort());
@@ -150,7 +151,7 @@ class MultiChannelSystem
     std::vector<std::unique_ptr<BaseGen>> gens_;
     std::vector<std::unique_ptr<TracePlayer>> players_;
     std::vector<std::unique_ptr<TraceRecorder>> recorders_;
-    std::string capturePath_;
+    std::shared_ptr<TraceWriter> captureWriter_;
     bool captureDone_ = false;
     /** Stable storage: controllers hold pointers into this. */
     std::unique_ptr<std::vector<CmdLogger>> cmdLoggers_;

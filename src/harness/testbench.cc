@@ -69,22 +69,14 @@ SingleChannelSystem::enableCapture(const std::string &path)
         fatal("enableCapture() must be called before addGen()");
     if (recorder_ != nullptr)
         fatal("capture already enabled");
+    captureWriter_ = openCaptureWriter(path);
     recorder_ = std::make_unique<TraceRecorder>(sim_, "trace_rec");
     recorder_->memSidePort().bind(ctrl_->port());
-    if (traceFormatForOutput(path) == TraceFormat::Dtrc) {
-        captureWriter_ = std::make_shared<TraceWriter>(
-            path, kTicksPerSecond, kTraceFlagLiveCapture);
-        // Single event queue: accepted requests arrive in tick order,
-        // so they stream straight to the writer with O(1) memory.
-        auto writer = captureWriter_;
-        recorder_->setSink(
-            [writer](const TraceEntry &e) { writer->append(e); });
-    } else {
-        // A .txt target buffers in the recorder and is written whole
-        // by finishCapture() (the text format is the debug flavour;
-        // the streaming path is the binary one).
-        textCapturePath_ = path;
-    }
+    // Single event queue: accepted requests arrive in tick order, so
+    // they stream straight to the writer with O(1) memory.
+    auto writer = captureWriter_;
+    recorder_->setSink(
+        [writer](const TraceEntry &e) { writer->append(e); });
 }
 
 void
@@ -92,10 +84,6 @@ SingleChannelSystem::finishCapture()
 {
     if (captureWriter_ != nullptr)
         captureWriter_->finish();
-    if (!textCapturePath_.empty() && recorder_ != nullptr) {
-        saveTrace(textCapturePath_, recorder_->trace());
-        textCapturePath_.clear();
-    }
 }
 
 Tick

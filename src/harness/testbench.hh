@@ -78,9 +78,10 @@ class SingleChannelSystem
 
     /**
      * Record every request the generator gets accepted into the
-     * controller to a .dtrc file, streamed with O(1) memory. Must be
-     * called before addGen(); the file is sealed by finishCapture()
-     * (idempotent, also run at destruction).
+     * controller to a .dtrc file, streamed with O(1) memory; a .txt
+     * path is fatal (see openCaptureWriter()). Must be called before
+     * addGen(); the file is sealed by finishCapture() (idempotent,
+     * also run at destruction).
      */
     void enableCapture(const std::string &path);
     void finishCapture();
@@ -123,7 +124,6 @@ class SingleChannelSystem
     std::unique_ptr<SimObject> genHolder_;
     std::unique_ptr<TraceRecorder> recorder_;
     std::shared_ptr<TraceWriter> captureWriter_;
-    std::string textCapturePath_;
     bool genAdded_ = false;
 };
 

@@ -66,7 +66,7 @@ EventQueue::removeAt(std::size_t slot)
     if (slot < heap_.size()) {
         heap_[slot] = moved;
         moved->heapSlot_ = slot;
-        // The refill element comes from an arbitrary subtree, so it may
+        // The moved-in element comes from an arbitrary subtree, so it may
         // need to travel either way.
         siftDown(slot);
         siftUp(moved->heapSlot_);

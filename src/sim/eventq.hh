@@ -187,7 +187,7 @@ class EventQueue
     void siftUp(std::size_t slot);
     /** Move heap_[slot] down while a child precedes it. */
     void siftDown(std::size_t slot);
-    /** Detach heap_[slot], refilling the hole from the heap's back. */
+    /** Detach heap_[slot], filling the hole from the heap's back. */
     void removeAt(std::size_t slot);
 
     /** Service the heap's front event, after passing parked slots. */

@@ -1,8 +1,10 @@
 #include "sim/shard.hh"
 
 #include <algorithm>
+#include <utility>
 
 #include "exec/thread_pool.hh"
+#include "mem/packet.hh"
 #include "sim/eventq.hh"
 #include "sim/logging.hh"
 #include "sim/simulator.hh"
@@ -28,11 +30,14 @@ ShardedEngine::~ShardedEngine()
         }
         pool_.reset(); // drains and joins
     }
-    // Messages can only be in flight if a run was abandoned mid-window,
-    // which the engine never does; a populated outbox here would mean
-    // leaked packets.
-    for (auto &ob : outbox_)
-        DC_ASSERT(ob.empty(), "engine destroyed with undelivered messages");
+    // Messages are only left in flight when a fatal() abandoned a
+    // window and is unwinding through here; their packets have no
+    // receiver any more, so release them instead of asserting (a throw
+    // from a destructor mid-unwind would terminate the process).
+    for (auto &ob : outbox_) {
+        for (const Msg &m : ob)
+            delete m.pkt;
+    }
 }
 
 void
@@ -152,8 +157,16 @@ ShardedEngine::workerBody(unsigned id)
             return;
         seen = e;
         Tick window_end = windowEnd_; // published by the epoch store
-        for (unsigned s = id; s < n; s += width_)
-            sim_.shardQueue(s).simulate(window_end);
+        try {
+            for (unsigned s = id; s < n; s += width_)
+                sim_.shardQueue(s).simulate(window_end);
+        } catch (...) {
+            // Hand a fatal() to the coordinator, which rethrows it at
+            // the barrier; the first one in worker order wins.
+            std::lock_guard<std::mutex> lock(wakeMutex_);
+            if (workerError_ == nullptr)
+                workerError_ = std::current_exception();
+        }
         pending_.fetch_sub(1, std::memory_order_release);
     }
 }
@@ -182,10 +195,23 @@ ShardedEngine::runWindow(Tick window_end)
 
     // The coordinator is executor 0: shard 0 (and every width-th shard)
     // always runs here, so objects on shard 0 keep main-thread
-    // affinity.
-    for (unsigned s = 0; s < n; s += width_)
-        sim_.shardQueue(s).simulate(window_end);
+    // affinity. A fatal() here must wait for the workers before it
+    // unwinds the model they are still running.
+    try {
+        for (unsigned s = 0; s < n; s += width_)
+            sim_.shardQueue(s).simulate(window_end);
+    } catch (...) {
+        awaitWorkers();
+        throw;
+    }
+    awaitWorkers();
+    if (workerError_ != nullptr)
+        std::rethrow_exception(std::exchange(workerError_, nullptr));
+}
 
+void
+ShardedEngine::awaitWorkers()
+{
     unsigned spins = 0;
     while (pending_.load(std::memory_order_acquire) != 0) {
         if (++spins >= 64)
@@ -231,6 +257,8 @@ ShardedEngine::run(Tick until)
         runWindow(window_end);
         deliverMessages();
     }
+    for (auto &ob : outbox_)
+        DC_ASSERT(ob.empty(), "engine left a run with undelivered messages");
     return sim_.shardQueue(0).curTick();
 }
 

@@ -32,6 +32,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <exception>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -132,6 +133,9 @@ class ShardedEngine
     /** Run one window on all shards (parallel when width > 1). */
     void runWindow(Tick window_end);
 
+    /** Spin until every worker has finished the current window. */
+    void awaitWorkers();
+
     /** Merge and apply all posted messages, single-threaded. */
     void deliverMessages();
 
@@ -168,6 +172,8 @@ class ShardedEngine
     std::atomic<unsigned> parked_{0};
     std::mutex wakeMutex_;
     std::condition_variable wakeCv_;
+    /** First fatal() a worker hit this window (under wakeMutex_). */
+    std::exception_ptr workerError_;
 };
 
 } // namespace dramctrl

@@ -46,6 +46,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -134,35 +135,24 @@ class TraceWriter
 };
 
 /**
- * Streaming .dtrc reader. Opens the file, validates its structure
+ * Streaming .dtrc reader. Maps the file, validates its structure
  * (magic, version, sizes, header/footer consistency) and — unless
  * told not to — verifies the record CRC up front, then decodes
  * records one next() call at a time without ever materialising the
- * trace: the mmap backend walks a SEQUENTIAL-advised mapping and
- * releases consumed windows with MADV_DONTNEED, so resident memory
- * stays O(1) however large the file is. A portable read()-chunk
- * backend covers platforms (or filesystems) without mmap; both
- * backends produce bit-identical entry streams.
+ * trace: the mapping is advised SEQUENTIAL and consumed 8 MiB windows
+ * are released with MADV_DONTNEED, so resident memory stays O(1)
+ * however large the file is.
  */
 class TraceReader
 {
   public:
-    enum class Backend {
-        Auto, ///< mmap when available, read() otherwise
-        Mmap, ///< require the mmap backend (fatal if unavailable)
-        Read, ///< force the portable read() backend
-    };
-
-    explicit TraceReader(const std::string &path, bool verify_crc = true,
-                         Backend backend = Backend::Auto);
-    ~TraceReader();
+    explicit TraceReader(const std::string &path, bool verify_crc = true);
 
     TraceReader(const TraceReader &) = delete;
     TraceReader &operator=(const TraceReader &) = delete;
 
     const TraceFileInfo &info() const { return info_; }
     const std::string &path() const { return path_; }
-    bool usingMmap() const { return map_ != nullptr; }
 
     /**
      * Decode the next record into @p e (absolute tick) and optionally
@@ -177,29 +167,30 @@ class TraceReader
     std::uint64_t position() const { return pos_; }
 
   private:
-    void openBackend(Backend backend);
-    void verifyStructure(std::uint64_t file_size);
-    std::uint32_t computeCrc();
-    /** Refill the read()-backend buffer; @return bytes available. */
-    std::size_t refill();
+    /**
+     * The read-only whole-file mapping. Unmapped by its own destructor,
+     * so a fatal() thrown by a check in the reader's constructor
+     * releases it too.
+     */
+    struct Mapping
+    {
+        const unsigned char *data = nullptr;
+        std::size_t size = 0;
+
+        Mapping() = default;
+        ~Mapping();
+        Mapping(const Mapping &) = delete;
+        Mapping &operator=(const Mapping &) = delete;
+    };
+
+    void verifyStructure();
 
     std::string path_;
     TraceFileInfo info_;
-    int fd_ = -1;
-
-    // mmap backend.
-    const unsigned char *map_ = nullptr; ///< whole-file mapping
-    std::size_t mapSize_ = 0;
+    Mapping map_;
     std::size_t released_ = 0; ///< bytes already MADV_DONTNEED'd
-
-    // read() backend.
-    std::vector<unsigned char> buf_;
-    std::size_t bufPos_ = 0;
-    std::size_t bufLen_ = 0;
-    std::uint64_t fileOff_ = 0; ///< next file offset to read
-
-    std::uint64_t pos_ = 0; ///< records consumed
-    Tick tick_ = 0;         ///< running absolute tick
+    std::uint64_t pos_ = 0;    ///< records consumed
+    Tick tick_ = 0;            ///< running absolute tick
 };
 
 /** Trace file flavours, detected by content (magic), not extension. */
@@ -210,6 +201,15 @@ TraceFormat traceFormatOf(const std::string &path);
 
 /** Pick a format for a file to be written: .txt => Text, else Dtrc. */
 TraceFormat traceFormatForOutput(const std::string &path);
+
+/**
+ * Open the writer of a live capture to @p path, with
+ * kTraceFlagLiveCapture set: the one capture rule of every system. A
+ * capture is always a .dtrc; a .txt target is fatal, because text
+ * carries neither the live-capture flag nor source ids (text comes
+ * from `trace_cli convert`, which warns about both).
+ */
+std::unique_ptr<TraceWriter> openCaptureWriter(const std::string &path);
 
 /** Fully load a .dtrc file (validating the CRC). Sources discarded. */
 std::vector<TraceEntry> loadTraceDtrc(const std::string &path);
@@ -244,9 +244,7 @@ class DtrcTraceSource : public TraceSource
     /** @param src_filter -1 = every record, else only this source. */
     explicit DtrcTraceSource(const std::string &path,
                              int src_filter = -1,
-                             bool verify_crc = true,
-                             TraceReader::Backend backend =
-                                 TraceReader::Backend::Auto);
+                             bool verify_crc = true);
 
     bool peek(TraceEntry &e) override;
     void advance() override;

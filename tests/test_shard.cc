@@ -22,6 +22,8 @@
 #include "dram/dram_presets.hh"
 #include "harness/multichannel.hh"
 #include "harness/stimulus.hh"
+#include "mem/packet.hh"
+#include "sim/logging.hh"
 #include "sim/shard.hh"
 #include "sim/simulator.hh"
 #include "trafficgen/linear_gen.hh"
@@ -144,6 +146,84 @@ TEST(ShardEngine, FiniteHorizonReachesExactly)
     Tick end = sim.run(fromNs(123.0));
     EXPECT_EQ(end, fromNs(123.0));
     EXPECT_EQ(sim.shardQueue(1).curTick(), fromNs(123.0));
+}
+
+/** At @p when, posts a packet to @p peer and then hits a fatal(). */
+class FatalPoster : public SimObject
+{
+  public:
+    FatalPoster(Simulator &sim, std::string name, Pinger &peer,
+                Tick when)
+        : SimObject(sim, std::move(name)), peer_(peer),
+          event_([this] { fire(); }, this->name() + ".event")
+    {
+        schedule(event_, when);
+    }
+
+    ~FatalPoster() override
+    {
+        if (event_.scheduled())
+            deschedule(event_);
+    }
+
+  private:
+    void
+    fire()
+    {
+        simulator().shardEngine().post(
+            shardId(), peer_.shardId(),
+            curTick() + simulator().shardEngine().lookahead(),
+            peer_.inbox(), new Packet(MemCmd::ReadReq, 0x40, 64, 0), 0);
+        fatal("fault on shard %u", shardId());
+    }
+
+    Pinger &peer_;
+    EventFunctionWrapper event_;
+};
+
+TEST(ShardEngine, FatalInWindowReachesCallerAndTearsDown)
+{
+    // A fatal() on either shard, at either width, leaves run() as the
+    // fatal's exception with a message still in an outbox; tearing
+    // the simulation down must release it, not abort the process.
+    const Tick delay = fromNs(3.0);
+    for (unsigned threads : {1u, 2u}) {
+        for (unsigned shard : {0u, 1u}) {
+            setThrowOnError(true);
+            std::string msg;
+            try {
+                Simulator sim("fatal");
+                sim.configureShards(2, delay);
+                sim.setSimThreads(threads);
+                // A ping-pong on both shards keeps the other shard
+                // busy in the failing window.
+                auto a = std::make_unique<Pinger>(sim, "a", delay);
+                std::unique_ptr<Pinger> b;
+                std::unique_ptr<FatalPoster> f;
+                {
+                    Simulator::ShardScope scope(sim, 1);
+                    b = std::make_unique<Pinger>(sim, "b", delay);
+                }
+                a->setPeer(b.get());
+                b->setPeer(a.get());
+                {
+                    Simulator::ShardScope scope(sim, shard);
+                    Pinger &peer = shard == 0 ? *b : *a;
+                    f = std::make_unique<FatalPoster>(sim, "f", peer,
+                                                      10 * delay);
+                }
+                sim.shardEngine().post(0, 1, delay, b->inbox(), nullptr,
+                                       100);
+                sim.run(kMaxTick);
+            } catch (const std::runtime_error &e) {
+                msg = e.what();
+            }
+            setThrowOnError(false);
+            EXPECT_NE(msg.find("fault on shard " + std::to_string(shard)),
+                      std::string::npos)
+                << "threads " << threads << ": '" << msg << "'";
+        }
+    }
 }
 
 // --------------------------------------------------------------------

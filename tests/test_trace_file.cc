@@ -2,10 +2,10 @@
  * @file
  * Tests for the binary (.dtrc) trace pipeline: format round trips
  * (including a property fuzz over random streams), structural and CRC
- * corruption detection, mmap-vs-read backend equivalence, source
- * filtering, and the headline guarantee — capturing a live run and
- * replaying the file reproduces the controller's statistics
- * byte-identically.
+ * corruption detection, decoding across released page windows, source
+ * filtering, the one capture rule (.dtrc only), and the headline
+ * guarantee — capturing a live run and replaying the file reproduces
+ * the controller's statistics byte-identically.
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <unistd.h>
 
@@ -30,6 +31,21 @@
 
 namespace dramctrl {
 namespace {
+
+/** The message of the fatal() that @p f ends in ("" if none). */
+std::string
+fatalMessage(const std::function<void()> &f)
+{
+    setThrowOnError(true);
+    std::string msg;
+    try {
+        f();
+    } catch (const std::runtime_error &e) {
+        msg = e.what();
+    }
+    setThrowOnError(false);
+    return msg;
+}
 
 class DtrcFileTest : public ::testing::Test
 {
@@ -68,9 +84,22 @@ class DtrcFileTest : public ::testing::Test
         f.write(&c, 1);
     }
 
+    /** The fatal() that opening path_ ends in ("" if it opens). */
+    std::string
+    openError(bool verify_crc = true)
+    {
+        return fatalMessage([&] { TraceReader r(path_, verify_crc); });
+    }
+
     std::filesystem::path base_;
     std::string path_;
 };
+
+bool
+contains(const std::string &s, const std::string &part)
+{
+    return s.find(part) != std::string::npos;
+}
 
 /** DDR3-1333 with full write drain, so every run terminates. */
 DRAMCtrlConfig
@@ -143,33 +172,31 @@ TEST_F(DtrcFileTest, FormatSniffing)
     EXPECT_EQ(traceFormatForOutput("x"), TraceFormat::Dtrc);
 }
 
-TEST_F(DtrcFileTest, MmapAndReadBackendsIdentical)
+TEST_F(DtrcFileTest, DecodesAcrossReleasedWindows)
 {
-    auto entries = randomStream(11, 2000);
+    // The reader releases consumed 8 MiB windows once the cursor is
+    // two windows past them; a file of more than two windows reaches
+    // that release, and reset() must then re-read released pages.
+    constexpr std::size_t window_records =
+        (8u << 20) / kTraceRecordSize;
+    auto entries = randomStream(11, 2 * window_records + 50000);
     saveTraceDtrc(path_, entries);
 
-    TraceReader rd(path_, true, TraceReader::Backend::Read);
-    EXPECT_FALSE(rd.usingMmap());
-    std::vector<TraceEntry> via_read;
+    TraceReader reader(path_);
+    std::vector<TraceEntry> decoded;
+    decoded.reserve(entries.size());
     TraceEntry e;
-    while (rd.next(e))
-        via_read.push_back(e);
-    EXPECT_EQ(via_read, entries);
+    while (reader.next(e))
+        decoded.push_back(e);
+    EXPECT_TRUE(decoded == entries);
 
-    TraceReader probe(path_, false);
-    if (probe.usingMmap()) {
-        TraceReader rm(path_, true, TraceReader::Backend::Mmap);
-        EXPECT_TRUE(rm.usingMmap());
-        std::vector<TraceEntry> via_mmap;
-        while (rm.next(e))
-            via_mmap.push_back(e);
-        EXPECT_EQ(via_mmap, via_read);
-
-        // reset() rewinds both backends to the same stream.
-        rm.reset();
-        ASSERT_TRUE(rm.next(e));
-        EXPECT_EQ(e, entries.front());
-    }
+    reader.reset();
+    ASSERT_TRUE(reader.next(e));
+    EXPECT_EQ(e, entries.front());
+    std::size_t i = 1;
+    while (reader.next(e) && e == entries[i])
+        ++i;
+    EXPECT_EQ(i, entries.size()) << "second pass diverged";
 }
 
 TEST_F(DtrcFileTest, TruncatedFileIsFatal)
@@ -177,38 +204,66 @@ TEST_F(DtrcFileTest, TruncatedFileIsFatal)
     saveTraceDtrc(path_, randomStream(5, 100));
     auto size = std::filesystem::file_size(path_);
     std::filesystem::resize_file(path_, size - 7);
-    setThrowOnError(true);
-    EXPECT_THROW(TraceReader r(path_), std::runtime_error);
-    setThrowOnError(false);
+    EXPECT_TRUE(contains(openError(), "is truncated")) << openError();
+}
+
+TEST_F(DtrcFileTest, EmptyAndShortFilesAreTruncated)
+{
+    for (std::size_t bytes : {0u, 10u}) {
+        saveTraceDtrc(path_, randomStream(5, 10));
+        std::filesystem::resize_file(path_, bytes);
+        std::string msg = openError();
+        EXPECT_TRUE(contains(msg, "is truncated: " +
+                                      std::to_string(bytes) + " bytes"))
+            << msg;
+    }
 }
 
 TEST_F(DtrcFileTest, BadMagicIsFatal)
 {
     saveTraceDtrc(path_, randomStream(5, 10));
     corruptByte(0);
-    setThrowOnError(true);
-    EXPECT_THROW(TraceReader r(path_), std::runtime_error);
-    setThrowOnError(false);
+    std::string msg = openError();
+    EXPECT_TRUE(contains(msg, "is not a .dtrc trace (bad magic")) << msg;
 }
 
 TEST_F(DtrcFileTest, CorruptedRecordFailsCrc)
 {
     saveTraceDtrc(path_, randomStream(5, 100));
     corruptByte(kTraceHeaderSize + 3 * kTraceRecordSize + 1);
-    setThrowOnError(true);
-    EXPECT_THROW(TraceReader r(path_), std::runtime_error);
+    std::string msg = openError();
+    EXPECT_TRUE(contains(msg, "is corrupted: record CRC mismatch")) << msg;
     // Skipping verification must still open it (structure is intact).
-    EXPECT_NO_THROW(TraceReader r2(path_, /*verify_crc=*/false));
-    setThrowOnError(false);
+    EXPECT_EQ(openError(/*verify_crc=*/false), "");
 }
 
 TEST_F(DtrcFileTest, CountMismatchIsFatal)
 {
     saveTraceDtrc(path_, randomStream(5, 100));
     corruptByte(16); // header recordCount, low byte
-    setThrowOnError(true);
-    EXPECT_THROW(TraceReader r(path_), std::runtime_error);
-    setThrowOnError(false);
+    std::string msg = openError();
+    EXPECT_TRUE(contains(msg, "is corrupted: header says")) << msg;
+}
+
+TEST_F(DtrcFileTest, FailedOpenReleasesTheFile)
+{
+    // A fatal() thrown after the file is mapped (here: bad magic)
+    // must leave neither a descriptor nor a mapping behind, or a long
+    // sweep over broken traces would run out of both.
+    saveTraceDtrc(path_, randomStream(5, 10));
+    corruptByte(0);
+    auto openFds = [] {
+        auto it = std::filesystem::directory_iterator("/proc/self/fd");
+        return std::distance(it, std::filesystem::directory_iterator());
+    };
+    auto fds = openFds();
+    for (int i = 0; i < 16; ++i)
+        EXPECT_NE(openError(), "");
+    EXPECT_EQ(openFds(), fds);
+    std::ifstream maps("/proc/self/maps");
+    std::string line;
+    while (std::getline(maps, line))
+        EXPECT_FALSE(contains(line, path_)) << line;
 }
 
 TEST_F(DtrcFileTest, WriterRejectsBackwardsTick)
@@ -399,27 +454,22 @@ TEST_F(DtrcFileTest, MultiChannelCaptureReplaysAtAnyWidth)
     }
 }
 
-TEST_F(DtrcFileTest, StreamedCaptureMatchesBufferedText)
+TEST_F(DtrcFileTest, TextCaptureIsFatalOnEverySystem)
 {
-    // The .dtrc sink streams during the run; a .txt capture buffers
-    // and writes at finish. Same run, same entries.
-    DRAMCtrlConfig cfg = drainingConfig();
-    auto run = [&](const std::string &out) {
-        harness::SingleChannelSystem tb(cfg,
-                                        harness::CtrlModel::Event);
-        tb.enableCapture(out);
-        GenConfig gc;
-        gc.numRequests = 100;
-        gc.seed = 21;
-        gc.windowSize = 1ULL << 20;
-        auto &gen = tb.addGen<LinearGen>(gc);
-        tb.runToCompletion([&] { return gen.done(); });
-        tb.finishCapture();
-    };
+    // A capture is always a .dtrc: both systems refuse a .txt target
+    // with the same fatal, before any generator is attached.
     std::string txt = base_.string() + ".txt";
-    run(path_);
-    run(txt);
-    EXPECT_EQ(loadTraceDtrc(path_), loadTrace(txt));
+    harness::SingleChannelSystem tb(drainingConfig(),
+                                    harness::CtrlModel::Event);
+    harness::MultiChannelConfig mcfg;
+    mcfg.channels = 2;
+    mcfg.ctrl = drainingConfig();
+    harness::MultiChannelSystem mc(mcfg);
+
+    std::string single = fatalMessage([&] { tb.enableCapture(txt); });
+    EXPECT_TRUE(contains(single, "is written as .dtrc only")) << single;
+    EXPECT_EQ(fatalMessage([&] { mc.enableCapture(txt); }), single);
+    EXPECT_FALSE(std::filesystem::exists(txt));
 }
 
 } // namespace

@@ -186,8 +186,8 @@ optionTable(CliOptions &opt)
               "binary .dtrc, detected by content",
               opt.stim.tracePath),
         value("--trace-capture", "P",
-              "record the accepted request stream to P\n"
-              "(.txt => text, anything else => .dtrc binary;\n"
+              "record the accepted request stream to the\n"
+              ".dtrc file P (trace_cli convert makes text;\n"
               "with --runs, P is a prefix: one\n"
               "'<P><run>.dtrc' file per run)",
               opt.traceCapture),
